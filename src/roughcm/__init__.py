@@ -40,6 +40,7 @@ from .errors import (
     GeneratorConfigError,
     InstanceTooLargeError,
     OverlapViolationError,
+    ReportFormatError,
     RoughAnalysisError,
     ShapeMismatchError,
     UndefinedClassError,
@@ -171,5 +172,6 @@ __all__ = [
     "InstanceTooLargeError",
     "CsvFormatError",
     "ClassifierFileError",
+    "ReportFormatError",
     "OverlapViolationError",
 ]

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ClassifierFileError, ShapeMismatchError
-from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix
+from .errors import ClassifierFileError
+from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, _require_shapes
 
 __all__ = [
     "TieBreak",
@@ -76,17 +76,6 @@ class ValidationReport:
         object.__setattr__(self, "violations", tuple(self.violations))
         if self.satisfies_rule != (not self.violations):
             raise ValueError("satisfies_rule must mirror the violation list")
-
-
-def _require_shapes(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> None:
-    if len(f.assignment) != gfm.m:
-        raise ShapeMismatchError(
-            f"classifier assigns {len(f.assignment)} granules, matrix has {gfm.m}"
-        )
-    if f.n_classes != gfm.k:
-        raise ShapeMismatchError(
-            f"classifier uses {f.n_classes} classes, matrix has {gfm.k}"
-        )
 
 
 def validate_overlap(

@@ -12,11 +12,13 @@ import csv
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import asdict
 from pathlib import Path
 
-from .classifiers import TieBreak, classifier_from_text
-from .core import Attribute, DecisionSystem, decision_partition, partition_by_attributes
+from .classifiers import RoughClassifier, TieBreak, classifier_from_text
+from .core import Attribute, DecisionSystem
 from .errors import CsvFormatError, OverlapViolationError, RoughAnalysisError
+from .matrices import GranuleFrequencyMatrix
 from .oracle import FuzzSummary, run_fuzz_trials
 from .report import AnalysisReport, analyze_decision_system, render_text, report_to_json
 
@@ -89,19 +91,16 @@ def run_analyze(args: argparse.Namespace) -> AnalysisReport:
         attributes = tuple(args.attributes.split(","))
         if attributes == ("",):
             raise ValueError("the attribute list must name at least one attribute")
-    if args.classifier == "mrc":
-        classifier = None
-    else:
-        granules = partition_by_attributes(ds, attributes or ds.condition_names)
-        decisions = decision_partition(ds)
+
+    def parse_mapping(gfm: GranuleFrequencyMatrix) -> RoughClassifier:
+        # read once the analysis has built the granules the file numbers
         text = Path(args.classifier).read_text(encoding="utf-8")
-        classifier = classifier_from_text(
-            text, len(granules.blocks), len(decisions.blocks)
-        )
+        return classifier_from_text(text, gfm.m, gfm.k)
+
     return analyze_decision_system(
         ds,
         attributes=attributes,
-        classifier=classifier,
+        classifier=None if args.classifier == "mrc" else parse_mapping,
         tie_break=TieBreak(args.tie_break),
         seed=args.seed,
         source=str(args.input),
@@ -119,22 +118,7 @@ def run_fuzz(args: argparse.Namespace) -> FuzzSummary:
 
 
 def _fuzz_to_dict(summary: FuzzSummary) -> dict[str, object]:
-    first = None
-    if summary.first_failure is not None:
-        failure = summary.first_failure
-        first = {
-            "trial": failure.trial,
-            "classifier_kind": failure.classifier_kind,
-            "config": {
-                "n_objects": failure.config.n_objects,
-                "n_attributes": failure.config.n_attributes,
-                "values_per_attribute": failure.config.values_per_attribute,
-                "n_decision_values": failure.config.n_decision_values,
-                "seed": failure.config.seed,
-            },
-            "attributes": list(failure.attributes),
-            "failed_checks": list(failure.failed_checks),
-        }
+    failure = summary.first_failure
     return {
         "trials": summary.trials,
         "checks": summary.checks,
@@ -145,7 +129,8 @@ def _fuzz_to_dict(summary: FuzzSummary) -> dict[str, object]:
         "max_classes": summary.max_classes,
         "classifier_kinds": list(summary.classifier_kinds),
         "generator": summary.generator,
-        "first_failure": first,
+        # TrialFailure and GeneratorConfig declare their fields in JSON order
+        "first_failure": asdict(failure) if failure is not None else None,
     }
 
 

@@ -13,6 +13,7 @@ __all__ = [
     "InstanceTooLargeError",
     "CsvFormatError",
     "ClassifierFileError",
+    "ReportFormatError",
     "OverlapViolationError",
 ]
 
@@ -67,6 +68,10 @@ class CsvFormatError(RoughAnalysisError):
 
 class ClassifierFileError(RoughAnalysisError):
     """Malformed classifier mapping file."""
+
+
+class ReportFormatError(RoughAnalysisError):
+    """Malformed or self-contradictory analysis report dict."""
 
 
 class OverlapViolationError(RoughAnalysisError):

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Partition, _require_same_universe, lower_approximation, upper_approximation
-from .classifiers import ValidationReport
+from .classifiers import ValidationReport, success_ratio
 from .errors import DegenerateDecisionError, UndefinedClassError
 from .matrices import RoughConfusionMatrix
 
@@ -137,9 +137,8 @@ def approximation_summary(
     return ApproximationSummary(tuple(per), gamma)
 
 
-def gamma_hat(cm: RoughConfusionMatrix) -> Fraction:
-    """Diagonal mass over total: the success ratio read off the matrix."""
-    return Fraction(sum(cm.diagonal), cm.total)
+# The success ratio read off the matrix: diagonal mass over total.
+gamma_hat = success_ratio
 
 
 def alpha_hat_per_class(cm: RoughConfusionMatrix) -> tuple[Fraction, ...]:

@@ -132,6 +132,17 @@ def granule_frequency_matrix(
     return GranuleFrequencyMatrix(cells, granules, decisions)
 
 
+def _require_shapes(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> None:
+    if len(f.assignment) != gfm.m:
+        raise ShapeMismatchError(
+            f"classifier assigns {len(f.assignment)} granules, matrix has {gfm.m}"
+        )
+    if f.n_classes != gfm.k:
+        raise ShapeMismatchError(
+            f"classifier uses {f.n_classes} classes, matrix has {gfm.k}"
+        )
+
+
 def predictor_set(
     f: RoughClassifier, class_index: int, granules: Partition
 ) -> ObjectSet:
@@ -165,14 +176,7 @@ def confusion_matrix(
     row. Because every granule row lands in exactly one result row, the
     column margins remain the decision class sizes.
     """
-    if len(f.assignment) != gfm.m:
-        raise ShapeMismatchError(
-            f"classifier assigns {len(f.assignment)} granules, matrix has {gfm.m}"
-        )
-    if f.n_classes != gfm.k:
-        raise ShapeMismatchError(
-            f"classifier uses {f.n_classes} classes, matrix has {gfm.k}"
-        )
+    _require_shapes(f, gfm)
     rows = [[0] * gfm.k for _ in range(gfm.k)]
     for source, cls in zip(gfm.cells, f.assignment):
         target = rows[cls - 1]

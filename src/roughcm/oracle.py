@@ -29,17 +29,15 @@ from .core import (
     DecisionSystem,
     ObjectSet,
     Partition,
+    _require_members,
     decision_partition,
     partition_by_attributes,
 )
-from .errors import (
-    GeneratorConfigError,
-    InstanceTooLargeError,
-    UniverseMismatchError,
-)
-from .indices import confusion_bounds
+from .errors import GeneratorConfigError, InstanceTooLargeError
+from .indices import BoundsReport, confusion_bounds
 from .matrices import (
     GranuleFrequencyMatrix,
+    RoughConfusionMatrix,
     confusion_matrix,
     granule_frequency_matrix,
     predictor_set,
@@ -141,13 +139,6 @@ def _block_of(p: Partition) -> dict[int, ObjectSet]:
     return {x: block for block in p.blocks for x in block}
 
 
-def _require_members(p: Partition, members: ObjectSet) -> None:
-    foreign = members - p.universe
-    if foreign:
-        listed = ", ".join(str(x) for x in sorted(foreign))
-        raise UniverseMismatchError(f"object id(s) outside the universe: {listed}")
-
-
 def oracle_lower(p: Partition, members: Iterable[int]) -> ObjectSet:
     """Per-element route: keep x when the whole block of x sits inside the set."""
     target = frozenset(members)
@@ -223,7 +214,7 @@ class LemmaCheck:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Every inequality verified on one (system, attribute set, classifier).
+    """Every inequality verified on one (frequency matrix, classifier) pair.
 
     Classifiers that break the overlap rule make the checks inapplicable:
     the report is marked not-applicable rather than failed.
@@ -247,67 +238,63 @@ class TheoremReport:
 
 
 def verify_theorems(
-    ds: DecisionSystem,
-    attributes: Iterable[str],
+    gfm: GranuleFrequencyMatrix,
     f: RoughClassifier,
+    cm: RoughConfusionMatrix,
+    bounds: BoundsReport,
     context: Mapping[str, str] | None = None,
 ) -> TheoremReport:
-    """Check every bound chain and overlap-rule consequence on one instance.
+    """Check every bound chain and overlap-rule consequence on built stages.
 
-    True approximation sizes come from the per-element oracle, estimator
-    values from the confusion matrix. The two bound chains are checked per
-    class; the sharper row-maximal chains only when the classifier picks a
-    maximal cell in every row. The lemma checks cover the three
-    consequences of the overlap rule: a granule inside a class must be
-    mapped to it, lower approximations sit inside predictor sets, and a
-    zero diagonal cell forces its whole row to zero.
+    True approximation sizes come from the per-element oracle over the
+    partitions the frequency matrix carries, estimator values from the
+    bounds. The two bound chains are checked per class; the sharper
+    row-maximal chains only when the bounds are flagged row-maximal, and
+    nothing applies when they are flagged as breaking the overlap rule.
+    The lemma checks cover the three consequences of the overlap rule: a
+    granule inside a class must be mapped to it, lower approximations sit
+    inside predictor sets, and a zero diagonal cell forces its whole row
+    to zero.
     """
-    granules = partition_by_attributes(ds, attributes)
-    decisions = decision_partition(ds)
-    gfm = granule_frequency_matrix(granules, decisions)
-    validation = validate_overlap(f, gfm)
+    granules, decisions = gfm.granules, gfm.decisions
     ctx = dict(context or {})
-    if not validation.satisfies_rule:
+    if not bounds.rule_validated:
         ctx.setdefault("status", "not-applicable: overlap rule violated")
         return TheoremReport(False, (), (), True, ctx)
 
-    cm = confusion_matrix(gfm, f)
-    row_maximal = is_row_maximal(f, gfm)
-    bounds = confusion_bounds(cm, validation, is_mrc=row_maximal)
-    true_nl = [len(oracle_lower(granules, cls)) for cls in decisions.blocks]
+    # one oracle pass per class serves theorem 1 and lemma part 2
+    true_lower = [oracle_lower(granules, cls) for cls in decisions.blocks]
     true_nu = [len(oracle_upper(granules, cls)) for cls in decisions.blocks]
 
     bound_checks = []
     for j, cb in enumerate(bounds.classes):
-        low_chain = (true_nl[j], cb.nl_star2, cb.nl_star, cb.class_size)
-        bound_checks.append(
-            BoundCheck(1, j + 1, low_chain, _chain_holds(low_chain))
-        )
-        up_chain = (cb.class_size, cb.nu_star, cb.nu_star2, true_nu[j])
-        bound_checks.append(BoundCheck(2, j + 1, up_chain, _chain_holds(up_chain)))
-        if row_maximal:
-            m_low = (true_nl[j], cb.nl_m, cb.nl_star2)
-            bound_checks.append(BoundCheck(3, j + 1, m_low, _chain_holds(m_low)))
-            m_up = (cb.nl_star2, cb.nu_m, true_nu[j])
-            bound_checks.append(BoundCheck(4, j + 1, m_up, _chain_holds(m_up)))
+        nl, nu = len(true_lower[j]), true_nu[j]
+        chains = {
+            1: (nl, cb.nl_star2, cb.nl_star, cb.class_size),
+            2: (cb.class_size, cb.nu_star, cb.nu_star2, nu),
+        }
+        if bounds.mrc_classifier:
+            chains[3] = (nl, cb.nl_m, cb.nl_star2)
+            chains[4] = (cb.nl_star2, cb.nu_m, nu)
+        bound_checks += [
+            BoundCheck(theorem, j + 1, chain, _chain_holds(chain))
+            for theorem, chain in chains.items()
+        ]
 
     lemma_checks = []
     for i, (row, block) in enumerate(zip(gfm.cells, granules.blocks), start=1):
         for j, count in enumerate(row, start=1):
             if count == len(block):
                 lemma_checks.append(LemmaCheck(1, i, f.assignment[i - 1] == j))
-    for j, cls in enumerate(decisions.blocks, start=1):
-        inside = oracle_lower(granules, cls) <= predictor_set(f, j, granules)
-        lemma_checks.append(LemmaCheck(2, j, inside))
+    for j, low in enumerate(true_lower, start=1):
+        lemma_checks.append(LemmaCheck(2, j, low <= predictor_set(f, j, granules)))
     for i in range(cm.k):
         if cm.cells[i][i] == 0:
             zero_row = all(value == 0 for value in cm.cells[i])
             lemma_checks.append(LemmaCheck(3, i + 1, zero_row))
 
-    overall = all(c.passed for c in bound_checks) and all(
-        c.passed for c in lemma_checks
-    )
-    ctx.setdefault("row_maximal", "yes" if row_maximal else "no")
+    overall = all(c.passed for c in (*bound_checks, *lemma_checks))
+    ctx.setdefault("row_maximal", "yes" if bounds.mrc_classifier else "no")
     return TheoremReport(True, tuple(bound_checks), tuple(lemma_checks), overall, ctx)
 
 
@@ -355,11 +342,12 @@ def run_fuzz_trials(
 
     Every trial derives its own seed from (base_seed, trial index), draws
     system sizes, generates the system, picks a random nonempty attribute
-    subset, and runs the verifier once per requested classifier kind:
-    "mrc" builds a maximal row classifier under a randomly drawn tie-break
-    policy, "random" draws a uniformly random overlap-satisfying
-    classifier. The summary counts checks and failures and keeps the first
-    counterexample, if any.
+    subset, builds the frequency matrix once, and hands the verifier the
+    stages built for each requested classifier kind: "mrc" builds a
+    maximal row classifier under a randomly drawn tie-break policy,
+    "random" draws a uniformly random overlap-satisfying classifier. The
+    summary counts checks and failures and keeps the first counterexample,
+    if any.
     """
     if trials < 0:
         raise GeneratorConfigError(f"trials must be non-negative, got {trials}")
@@ -401,7 +389,10 @@ def run_fuzz_trials(
                 f = random_overlap_classifier(gfm, rng.getrandbits(64))
                 context = {"classifier": "random-overlap", "tie_break": "-"}
             context["generator"] = GENERATOR_ID
-            report = verify_theorems(ds, subset, f, context=context)
+            cm = confusion_matrix(gfm, f)
+            validation = validate_overlap(f, gfm)
+            bounds = confusion_bounds(cm, validation, is_row_maximal(f, gfm))
+            report = verify_theorems(gfm, f, cm, bounds, context)
             checks += 1
             if not (report.applicable and report.overall_pass):
                 failures += 1

@@ -10,8 +10,8 @@ report_from_dict, and identical inputs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .classifiers import (
@@ -29,7 +29,7 @@ from .core import (
     decision_partition,
     partition_by_attributes,
 )
-from .errors import OverlapViolationError
+from .errors import OverlapViolationError, ReportFormatError, RoughAnalysisError
 from .indices import (
     ApproximationSummary,
     BoundsReport,
@@ -83,16 +83,14 @@ def fraction_from_triple(data: dict[str, object]) -> Fraction:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analyze pipeline produces for one decision table."""
+    """Everything the analyze pipeline produces for one decision table.
+
+    Partitions, sizes and the success ratio are derived from the stages.
+    """
 
     source: str
     attribute_names: tuple[str, ...]
     decision_name: str
-    n_objects: int
-    n_granules: int
-    n_classes: int
-    granules: Partition
-    decisions: Partition
     frequency: GranuleFrequencyMatrix
     classifier_kind: str
     tie_break: str | None
@@ -102,28 +100,54 @@ class AnalysisReport:
     row_maximal: bool
     confusion: RoughConfusionMatrix
     approximation: ApproximationSummary
-    success: Fraction
     alpha_hat: tuple[Fraction, ...]
     alpha_overall: Fraction
     bounds: BoundsReport
     theorems: TheoremReport
 
+    @property
+    def granules(self) -> Partition:
+        return self.frequency.granules
+
+    @property
+    def decisions(self) -> Partition:
+        return self.frequency.decisions
+
+    @property
+    def n_objects(self) -> int:
+        return len(self.granules.universe)
+
+    @property
+    def n_granules(self) -> int:
+        return self.frequency.m
+
+    @property
+    def n_classes(self) -> int:
+        return self.frequency.k
+
+    @property
+    def success(self) -> Fraction:
+        return success_ratio(self.confusion)
+
 
 def analyze_decision_system(
     ds: DecisionSystem,
     attributes: Iterable[str] | None = None,
-    classifier: RoughClassifier | None = None,
+    classifier: (
+        RoughClassifier | Callable[[GranuleFrequencyMatrix], RoughClassifier] | None
+    ) = None,
     tie_break: TieBreak = TieBreak.LOWEST,
     seed: int = 0,
     source: str = "<memory>",
 ) -> AnalysisReport:
     """Run the whole pipeline on one decision system and assemble a report.
 
-    With `classifier=None` a maximal row classifier is built from the
-    frequency matrix using `tie_break` and `seed`. An explicit classifier
-    must satisfy the overlap rule; OverlapViolationError names the
-    offending granules otherwise. `attributes=None` uses every condition
-    attribute.
+    Every stage is built once and handed on, the verifier included. With
+    `classifier=None` a maximal row classifier is built from the frequency
+    matrix using `tie_break` and `seed`. An explicit classifier, or a
+    function building one from the frequency matrix, must satisfy the
+    overlap rule; OverlapViolationError names the offending granules
+    otherwise. `attributes=None` uses every condition attribute.
     """
     names = tuple(attributes) if attributes is not None else ds.condition_names
     granules = partition_by_attributes(ds, names)
@@ -137,7 +161,7 @@ def analyze_decision_system(
         seed_value: int | None = seed
     else:
         kind = "custom"
-        f = classifier
+        f = classifier(gfm) if callable(classifier) else classifier
         tb_value = seed_value = None
     validation = validate_overlap(f, gfm)
     if not validation.satisfies_rule:
@@ -151,16 +175,11 @@ def analyze_decision_system(
         "tie_break": tb_value if tb_value is not None else "-",
         "seed": str(seed_value) if seed_value is not None else "-",
     }
-    theorems = verify_theorems(ds, selected, f, context=context)
+    theorems = verify_theorems(gfm, f, cm, bounds, context)
     return AnalysisReport(
         source=source,
         attribute_names=selected,
         decision_name=ds.decision_attribute.name,
-        n_objects=ds.n,
-        n_granules=gfm.m,
-        n_classes=gfm.k,
-        granules=granules,
-        decisions=decisions,
         frequency=gfm,
         classifier_kind=kind,
         tie_break=tb_value,
@@ -170,7 +189,6 @@ def analyze_decision_system(
         row_maximal=row_maximal,
         confusion=cm,
         approximation=summary,
-        success=success_ratio(cm),
         alpha_hat=alpha_hat_per_class(cm),
         alpha_overall=alpha_hat_overall(cm),
         bounds=bounds,
@@ -198,21 +216,11 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
                 "alpha_hat": rational_triple(alpha),
             }
         )
-    bound_rows = []
-    for j, cb in enumerate(report.bounds.classes, start=1):
-        bound_rows.append(
-            {
-                "class": j,
-                "class_size": cb.class_size,
-                "nl_star": cb.nl_star,
-                "nl_star2": cb.nl_star2,
-                "nu_star": cb.nu_star,
-                "nu_star2": cb.nu_star2,
-                "nl_m": cb.nl_m,
-                "nu_m": cb.nu_m,
-                "clamped": cb.clamped,
-            }
-        )
+    # ClassBounds declares its fields in the order the rows list them
+    bound_rows = [
+        {"class": j, **asdict(cb)}
+        for j, cb in enumerate(report.bounds.classes, start=1)
+    ]
     return {
         "input": {
             "source": report.source,
@@ -280,21 +288,45 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
 
 
 def report_from_dict(data: dict[str, object]) -> AnalysisReport:
-    """Rebuild a report from its dict form; inverse of report_to_dict."""
-    granules = Partition(tuple(frozenset(block) for block in data["granules"]))
-    decisions = Partition(
-        tuple(frozenset(block) for block in data["decision_classes"])
-    )
+    """Rebuild a report from its dict form; inverse of report_to_dict.
+
+    Malformed input raises ReportFormatError: a missing key, a value of the
+    wrong type, a part whose invariants fail, or a stored object, granule
+    or class count or success ratio that disagrees with the value derived
+    from the partitions and matrices.
+    """
+    try:
+        report = _rebuild(data)
+        meta, success = data["input"], data["indices"]["success_ratio"]
+        stored = {
+            "input.objects": (meta["objects"], report.n_objects),
+            "input.granules": (meta["granules"], report.n_granules),
+            "input.classes": (meta["classes"], report.n_classes),
+            "indices.success_ratio": (fraction_from_triple(success), report.success),
+        }
+    except KeyError as exc:
+        raise ReportFormatError(f"malformed report: missing key {exc}") from exc
+    except (
+        ArithmeticError, LookupError, TypeError, ValueError, RoughAnalysisError
+    ) as exc:
+        raise ReportFormatError(f"malformed report: {exc}") from exc
+    for name, (value, derived) in stored.items():
+        if value != derived:
+            raise ReportFormatError(
+                f"inconsistent report: {name} is {value}, the report derives {derived}"
+            )
+    return report
+
+
+def _rebuild(data: dict[str, object]) -> AnalysisReport:
     gfm = GranuleFrequencyMatrix(
         tuple(tuple(row) for row in data["granule_matrix"]["cells"]),
-        granules,
-        decisions,
+        Partition(tuple(frozenset(block) for block in data["granules"])),
+        Partition(tuple(frozenset(block) for block in data["decision_classes"])),
     )
     meta = data["input"]
     cls_data = data["classifier"]
-    classifier = RoughClassifier(
-        tuple(cls for _, cls in cls_data["assignment"]), meta["classes"]
-    )
+    classifier = RoughClassifier(tuple(cls for _, cls in cls_data["assignment"]), gfm.k)
     validation = ValidationReport(
         cls_data["satisfies_overlap"], tuple(cls_data["violations"])
     )
@@ -318,16 +350,7 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     bounds_data = data["bounds"]
     bounds = BoundsReport(
         tuple(
-            ClassBounds(
-                class_size=row["class_size"],
-                nl_star=row["nl_star"],
-                nl_star2=row["nl_star2"],
-                nu_star=row["nu_star"],
-                nu_star2=row["nu_star2"],
-                nl_m=row["nl_m"],
-                nu_m=row["nu_m"],
-                clamped=row["clamped"],
-            )
+            ClassBounds(**{key: value for key, value in row.items() if key != "class"})
             for row in bounds_data["classes"]
         ),
         bounds_data["rule_validated"],
@@ -351,11 +374,6 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
         source=meta["source"],
         attribute_names=tuple(meta["attributes"]),
         decision_name=meta["decision"],
-        n_objects=meta["objects"],
-        n_granules=meta["granules"],
-        n_classes=meta["classes"],
-        granules=granules,
-        decisions=decisions,
         frequency=gfm,
         classifier_kind=cls_data["kind"],
         tie_break=cls_data["tie_break"],
@@ -365,7 +383,6 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
         row_maximal=cls_data["row_maximal"],
         confusion=cm,
         approximation=summary,
-        success=fraction_from_triple(idx["success_ratio"]),
         alpha_hat=alpha_hat,
         alpha_overall=fraction_from_triple(idx["alpha_overall"]),
         bounds=bounds,

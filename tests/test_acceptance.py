@@ -108,7 +108,7 @@ def test_criterion_2_bound_estimator_values(tv_system):
         true_nu = tuple(len(oracle_upper(granules, cls)) for cls in decisions.blocks)
         assert true_nl == (2, 2)
         assert true_nu == (4, 4)
-        theorems = verify_theorems(tv_system, ("Price", "Screen"), f)
+        theorems = verify_theorems(gfm, f, report.confusion, report.bounds)
         assert theorems.applicable
         assert len(theorems.bound_checks) == 8
         assert all(check.passed for check in theorems.bound_checks)

@@ -1,0 +1,114 @@
+"""Each pipeline stage is built once per analysis and once per fuzz trial.
+
+The counters replace every binding of a stage builder in every loaded
+roughcm module, so a stage rebuilt by any module, the verifier included,
+shows up in the counts.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+import roughcm
+from roughcm import (
+    RoughClassifier,
+    analyze_decision_system,
+    confusion_bounds,
+    confusion_matrix,
+    decision_partition,
+    granule_frequency_matrix,
+    is_row_maximal,
+    oracle,
+    partition_by_attributes,
+    run_fuzz_trials,
+    validate_overlap,
+    verify_theorems,
+)
+from roughcm.cli import main
+
+STAGES = ("partition_by_attributes", "decision_partition", "granule_frequency_matrix")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls to the stage builders and to the lower-approximation oracle."""
+    counts: Counter[str] = Counter()
+    for name in (*STAGES, "oracle_lower"):
+        original = getattr(roughcm, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        bound = [
+            module
+            for key, module in sys.modules.items()
+            if key.split(".")[0] == "roughcm" and getattr(module, name, None) is original
+        ]
+        for module in bound:
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def stage_counts(counts):
+    return [counts[name] for name in STAGES]
+
+
+@pytest.mark.parametrize(
+    "classifier", [None, RoughClassifier((2, 2, 2, 1), 2)], ids=["mrc", "custom"]
+)
+def test_analyze_builds_each_stage_once(calls, tv_system, classifier):
+    report = analyze_decision_system(
+        tv_system, attributes=("Price", "Screen"), classifier=classifier
+    )
+    assert report.theorems.applicable
+    assert stage_counts(calls) == [1, 1, 1]
+    assert calls["oracle_lower"] == report.n_classes
+
+
+def test_cli_analyze_with_a_mapping_builds_each_stage_once(calls, capsys, tv_csv, tmp_path):
+    mapping = tmp_path / "map.txt"
+    mapping.write_text("1 1\n2 2\n3 2\n4 1\n", encoding="utf-8")
+    argv = ["analyze", "--input", str(tv_csv), "--attributes", "Price,Screen"]
+    assert main([*argv, "--classifier", str(mapping)]) == 0
+    capsys.readouterr()
+    assert stage_counts(calls) == [1, 1, 1]
+
+
+def test_fuzz_builds_each_stage_once_per_trial(calls, monkeypatch):
+    applicable_classes = []
+    original = oracle.verify_theorems
+
+    def verify(gfm, f, cm, bounds, context=None):
+        report = original(gfm, f, cm, bounds, context)
+        if report.applicable:
+            applicable_classes.append(gfm.k)
+        return report
+
+    monkeypatch.setattr(oracle, "verify_theorems", verify)
+    summary = run_fuzz_trials(trials=40, base_seed=5)
+    assert summary.checks == 80 and summary.failures == 0
+    assert stage_counts(calls) == [40, 40, 40]
+    assert len(applicable_classes) == 80
+    assert calls["oracle_lower"] == sum(applicable_classes)
+
+
+@pytest.mark.parametrize(
+    "assignment,lower_calls",
+    [((1, 2, 2, 1), 2), ((1, 2, 2, 2), 0)],
+    ids=["applicable", "rule-broken"],
+)
+def test_verifier_runs_the_lower_oracle_once_per_class(
+    calls, tv_system, assignment, lower_calls
+):
+    granules = partition_by_attributes(tv_system, ("Price", "Screen"))
+    gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
+    f = RoughClassifier(assignment, 2)
+    cm = confusion_matrix(gfm, f)
+    bounds = confusion_bounds(cm, validate_overlap(f, gfm), is_row_maximal(f, gfm))
+    report = verify_theorems(gfm, f, cm, bounds)
+    assert report.applicable == (lower_calls > 0)
+    assert calls["oracle_lower"] == lower_calls

@@ -16,10 +16,12 @@ from roughcm import (
     InstanceTooLargeError,
     RoughClassifier,
     TieBreak,
+    confusion_bounds,
     confusion_matrix,
     decision_partition,
     exhaustive_best_classifier,
     granule_frequency_matrix,
+    is_row_maximal,
     lower_approximation,
     maximal_row_classifier,
     oracle_lower,
@@ -197,12 +199,21 @@ class TestExhaustiveBestClassifier:
             exhaustive_best_classifier(gfm)
 
 
+def verify_on(ds, attributes, f, context=None):
+    """Build the stages the verifier checks, as the pipeline does, and verify."""
+    granules = partition_by_attributes(ds, attributes)
+    gfm = granule_frequency_matrix(granules, decision_partition(ds))
+    cm = confusion_matrix(gfm, f)
+    bounds = confusion_bounds(cm, validate_overlap(f, gfm), is_row_maximal(f, gfm))
+    return verify_theorems(gfm, f, cm, bounds, context)
+
+
 class TestVerifyTheorems:
     def test_worked_example_report(self, tv_system):
         granules = partition_by_attributes(tv_system, ("Price", "Screen"))
         gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
         f = maximal_row_classifier(gfm)
-        report = verify_theorems(tv_system, ("Price", "Screen"), f)
+        report = verify_on(tv_system, ("Price", "Screen"), f)
         assert report.applicable
         assert report.overall_pass
         assert report.context["row_maximal"] == "yes"
@@ -225,17 +236,17 @@ class TestVerifyTheorems:
         rows = (("p", "x"), ("p", "x"), ("p", "y"), ("q", "x"), ("q", "y"), ("q", "y"))
         ds = build_system(("a", "d"), rows)
         anti = RoughClassifier((2, 1), 2)
-        report = verify_theorems(ds, ("a",), anti)
+        report = verify_on(ds, ("a",), anti)
         assert report.applicable
         assert report.context["row_maximal"] == "no"
         assert {c.theorem for c in report.bound_checks} == {1, 2}
         assert report.overall_pass
-        full = verify_theorems(tv_system, ("Price", "Screen"), RoughClassifier((1, 2, 2, 1), 2))
+        full = verify_on(tv_system, ("Price", "Screen"), RoughClassifier((1, 2, 2, 1), 2))
         assert {c.theorem for c in full.bound_checks} == {1, 2, 3, 4}
 
     def test_rule_breaking_classifier_is_not_applicable(self, tv_system):
         f = RoughClassifier((1, 2, 2, 2), 2)
-        report = verify_theorems(tv_system, ("Price", "Screen"), f)
+        report = verify_on(tv_system, ("Price", "Screen"), f)
         assert not report.applicable
         assert report.bound_checks == ()
         assert report.lemma_checks == ()
@@ -246,7 +257,7 @@ class TestVerifyTheorems:
         names = tv_system.condition_names
         granules = partition_by_attributes(tv_system, names)
         gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
-        report = verify_theorems(tv_system, names, maximal_row_classifier(gfm))
+        report = verify_on(tv_system, names, maximal_row_classifier(gfm))
         assert report.applicable and report.overall_pass
         for check in report.bound_checks:
             assert len(set(check.chain)) == 1
@@ -255,9 +266,7 @@ class TestVerifyTheorems:
         granules = partition_by_attributes(tv_system, ("Price",))
         gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
         f = maximal_row_classifier(gfm)
-        report = verify_theorems(
-            tv_system, ("Price",), f, context={"label": "smoke"}
-        )
+        report = verify_on(tv_system, ("Price",), f, context={"label": "smoke"})
         assert report.context["label"] == "smoke"
 
 

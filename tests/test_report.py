@@ -9,6 +9,8 @@ import pytest
 
 from roughcm import (
     OverlapViolationError,
+    ReportFormatError,
+    RoughAnalysisError,
     RoughClassifier,
     TieBreak,
     analyze_decision_system,
@@ -92,6 +94,22 @@ class TestAnalyze:
         assert report.tie_break is None and report.seed is None
         assert report.confusion.cells == ((2, 0), (1, 3))
         assert report.success == Fraction(5, 6)
+
+    def test_classifier_built_from_the_frequency_matrix(self, tv_system):
+        f = RoughClassifier((2, 2, 2, 1), 2)
+        seen = []
+
+        def build(gfm):
+            seen.append(gfm)
+            return f
+
+        report = analyze_decision_system(
+            tv_system, attributes=("Price", "Screen"), classifier=build
+        )
+        assert seen == [report.frequency]
+        assert report == analyze_decision_system(
+            tv_system, attributes=("Price", "Screen"), classifier=f
+        )
 
     def test_rule_breaking_classifier_is_rejected(self, tv_system):
         f = RoughClassifier((1, 2, 2, 2), 2)
@@ -200,3 +218,112 @@ class TestRenderText:
         assert "size" in gfm_block
         cm_block = text.split("Confusion matrix")[1].split("\n\n")[0]
         assert "sum" in cm_block
+
+
+def _drop(*path):
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        del data[last]
+
+    return edit
+
+
+def _put(value, *path):
+    def edit(data):
+        *parents, last = path
+        for key in parents:
+            data = data[key]
+        data[last] = value
+
+    return edit
+
+
+class TestMalformedReports:
+    """Every malformed report dict fails with ReportFormatError, never a bare error."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _drop("input"),
+            _drop("input", "source"),
+            _drop("input", "objects"),
+            _drop("granules"),
+            _drop("granule_matrix", "cells"),
+            _drop("classifier", "assignment"),
+            _drop("indices", "success_ratio"),
+            _drop("bounds", "classes", 0, "nl_m"),
+            _drop("theorems", "context"),
+        ],
+    )
+    def test_missing_key(self, tv_report, edit):
+        data = report_to_dict(tv_report)
+        edit(data)
+        with pytest.raises(ReportFormatError, match="missing key|malformed"):
+            report_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _put(5, "granules"),
+            _put("oops", "granule_matrix", "cells"),
+            _put([[3, "1"], [0, 2]], "confusion_matrix", "cells"),
+            _put([[1]], "classifier", "assignment"),
+            _put([2, 3], "indices", "gamma"),
+            _put({"num": 5, "den": 0, "decimal": "-"}, "indices", "alpha_overall"),
+            _put("3", "bounds", "classes", 0, "nl_star"),
+            _put(None, "theorems", "lemma_checks"),
+        ],
+    )
+    def test_wrongly_typed_value(self, tv_report, edit):
+        data = report_to_dict(tv_report)
+        edit(data)
+        with pytest.raises(ReportFormatError, match="malformed"):
+            report_from_dict(data)
+
+    def test_not_a_dict(self):
+        with pytest.raises(RoughAnalysisError, match="malformed"):
+            report_from_dict([])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _put([2, 0], "granule_matrix", "cells", 0),
+            _put([[3, 1, 0], [0, 2, 0]], "confusion_matrix", "cells"),
+            _put(rational_triple(Fraction(1, 2)), "indices", "gamma"),
+            _put(1, "bounds", "classes", 0, "nu_star"),
+            _put(False, "theorems", "bound_checks", 0, "passed"),
+            _put([[1, 1], [2, 2], [3, 2], [4, 3]], "classifier", "assignment"),
+        ],
+    )
+    def test_invariant_violation(self, tv_report, edit):
+        data = report_to_dict(tv_report)
+        edit(data)
+        with pytest.raises(ReportFormatError, match="malformed"):
+            report_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit,name",
+        [
+            (_put(99, "input", "objects"), "input.objects"),
+            (_put(99, "input", "granules"), "input.granules"),
+            (_put(3, "input", "classes"), "input.classes"),
+            (
+                _put(rational_triple(Fraction(1, 2)), "indices", "success_ratio"),
+                "indices.success_ratio",
+            ),
+        ],
+    )
+    def test_stored_value_disagrees_with_the_derived_one(self, tv_report, edit, name):
+        data = report_to_dict(tv_report)
+        edit(data)
+        with pytest.raises(ReportFormatError, match=name):
+            report_from_dict(data)
+
+    def test_derived_fields_follow_the_stages(self, tv_report):
+        assert tv_report.n_objects == len(tv_report.granules.universe) == 6
+        assert tv_report.n_granules == tv_report.frequency.m == 4
+        assert tv_report.n_classes == tv_report.frequency.k == 2
+        assert tv_report.granules is tv_report.frequency.granules
+        assert tv_report.decisions is tv_report.frequency.decisions

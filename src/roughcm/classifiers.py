@@ -69,13 +69,14 @@ class RoughClassifier:
 class ValidationReport:
     """Outcome of the overlap-rule check; violations list 1-based granules."""
 
-    satisfies_rule: bool
     violations: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "violations", tuple(self.violations))
-        if self.satisfies_rule != (not self.violations):
-            raise ValueError("satisfies_rule must mirror the violation list")
+
+    @property
+    def satisfies_rule(self) -> bool:
+        return not self.violations
 
 
 def validate_overlap(
@@ -88,12 +89,13 @@ def validate_overlap(
     class, so the prediction is wrong for every single object in it.
     """
     _require_shapes(f, gfm)
-    violations = tuple(
-        i
-        for i, cls in enumerate(f.assignment, start=1)
-        if gfm.cells[i - 1][cls - 1] == 0
+    return ValidationReport(
+        tuple(
+            i
+            for i, cls in enumerate(f.assignment, start=1)
+            if gfm.cells[i - 1][cls - 1] == 0
+        )
     )
-    return ValidationReport(satisfies_rule=not violations, violations=violations)
 
 
 def maximal_row_classifier(

@@ -1,8 +1,9 @@
 """Approximation-quality indices and confusion-matrix bounds.
 
-System-side indices, computed from the partitions themselves, where n_j is
+System-side indices, read off the granule frequency matrix, where n_j is
 the size of decision class j and nl_j / nu_j are the sizes of its lower
-and upper approximations:
+and upper approximations: nl_j sums the sizes of the granules whose whole
+row mass sits in column j, nu_j those with a non-zero cell in column j.
 
     lower coverage   nl_j / n_j    share of the class certainly covered
     upper precision  n_j / nu_j    share of the possible region that is the class
@@ -40,10 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Partition, _require_same_universe, lower_approximation, upper_approximation
 from .classifiers import ValidationReport, success_ratio
 from .errors import DegenerateDecisionError, UndefinedClassError
-from .matrices import RoughConfusionMatrix
+from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix
 
 __all__ = [
     "indicator",
@@ -67,74 +67,67 @@ def indicator(count: int) -> int:
 
 @dataclass(frozen=True)
 class ClassApproximation:
-    """Approximation sizes and quality indices of one decision class."""
+    """Approximation sizes of one decision class; its indices derive from them."""
 
     size: int
     lower_size: int
     upper_size: int
-    lower_coverage: Fraction
-    upper_precision: Fraction
-    accuracy: Fraction
 
     def __post_init__(self) -> None:
         if not 0 <= self.lower_size <= self.size <= self.upper_size:
             raise ValueError("need 0 <= lower_size <= size <= upper_size")
         if self.size < 1:
             raise ValueError("decision classes are nonempty")
-        if self.lower_coverage != Fraction(self.lower_size, self.size):
-            raise ValueError("lower_coverage inconsistent with the sizes")
-        if self.upper_precision != Fraction(self.size, self.upper_size):
-            raise ValueError("upper_precision inconsistent with the sizes")
-        if self.accuracy != Fraction(self.lower_size, self.upper_size):
-            raise ValueError("accuracy inconsistent with the sizes")
+
+    @property
+    def lower_coverage(self) -> Fraction:
+        return Fraction(self.lower_size, self.size)
+
+    @property
+    def upper_precision(self) -> Fraction:
+        return Fraction(self.size, self.upper_size)
+
+    @property
+    def accuracy(self) -> Fraction:
+        return Fraction(self.lower_size, self.upper_size)
 
 
 @dataclass(frozen=True)
 class ApproximationSummary:
-    """Per-class approximation indices plus the overall quality gamma."""
+    """Per-class approximation sizes; gamma derives from them."""
 
     classes: tuple[ClassApproximation, ...]
-    gamma: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "classes", tuple(self.classes))
         if len(self.classes) < 2:
             raise DegenerateDecisionError("at least two decision classes are required")
-        total = sum(c.size for c in self.classes)
-        expected = Fraction(sum(c.lower_size for c in self.classes), total)
-        if self.gamma != expected:
-            raise ValueError("gamma inconsistent with the per-class sizes")
+
+    @property
+    def gamma(self) -> Fraction:
+        """Each class's lower coverage weighted by its relative size, which
+        collapses to (total lower-approximation mass) / n."""
+        lower = sum(c.lower_size for c in self.classes)
+        return Fraction(lower, sum(c.size for c in self.classes))
 
 
-def approximation_summary(
-    granules: Partition, decisions: Partition
-) -> ApproximationSummary:
-    """Compute every per-class index and the overall quality gamma.
+def approximation_summary(gfm: GranuleFrequencyMatrix) -> ApproximationSummary:
+    """Read every class's approximation sizes off the frequency rows.
 
-    gamma weights each class's lower coverage by its relative size, which
-    collapses to (total lower-approximation mass) / n.
+    Granule i lies in the lower approximation of class j when cell (i, j)
+    holds the whole granule, and in the upper one when the cell is non-zero.
     """
-    _require_same_universe(granules, decisions)
-    if len(decisions.blocks) < 2:
-        raise DegenerateDecisionError("at least two decision classes are required")
-    per = []
-    for cls in decisions.blocks:
-        low = lower_approximation(granules, cls)
-        upp = upper_approximation(granules, cls)
-        n_j, nl, nu = len(cls), len(low), len(upp)
-        per.append(
+    sizes = gfm.granule_sizes
+    return ApproximationSummary(
+        tuple(
             ClassApproximation(
                 size=n_j,
-                lower_size=nl,
-                upper_size=nu,
-                lower_coverage=Fraction(nl, n_j),
-                upper_precision=Fraction(n_j, nu),
-                accuracy=Fraction(nl, nu),
+                lower_size=sum(s for row, s in zip(gfm.cells, sizes) if row[j] == s),
+                upper_size=sum(s for row, s in zip(gfm.cells, sizes) if row[j]),
             )
+            for j, n_j in enumerate(gfm.class_sizes)
         )
-    total = sum(c.size for c in per)
-    gamma = Fraction(sum(c.lower_size for c in per), total)
-    return ApproximationSummary(tuple(per), gamma)
+    )
 
 
 # The success ratio read off the matrix: diagonal mass over total.
@@ -203,7 +196,11 @@ class ClassBounds:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Per-class estimator values plus the flags that scope their meaning."""
+    """Per-class estimator values plus the flags that scope their meaning.
+
+    Under the overlap rule the estimator chains follow from the formulas in
+    confusion_bounds; verify_theorems checks them against the true sizes.
+    """
 
     classes: tuple[ClassBounds, ...]
     rule_validated: bool
@@ -219,12 +216,6 @@ class BoundsReport:
                     raise ValueError("row-maximal estimators missing")
             elif cb.nl_m is not None or cb.nu_m is not None:
                 raise ValueError("row-maximal estimators set without the flag")
-            if self.rule_validated:
-                chain = (cb.nl_star2, cb.nl_star, cb.class_size, cb.nu_star, cb.nu_star2)
-                if any(a > b for a, b in zip(chain, chain[1:])):
-                    raise ValueError("estimator chain violated under the overlap rule")
-                if self.mrc_classifier and not cb.nl_m <= cb.nl_star2 <= cb.nu_m:
-                    raise ValueError("row-maximal estimator chain violated")
 
 
 def confusion_bounds(

@@ -13,6 +13,7 @@ class sizes, whatever the classifier does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .core import ObjectSet, Partition, _require_same_universe
@@ -36,7 +37,8 @@ class GranuleFrequencyMatrix:
 
     Row sums equal granule sizes and column sums equal class sizes; both
     are checked on construction, so a value of this type is always a
-    faithful contingency table of its two partitions.
+    faithful contingency table of its two partitions, and its margins are
+    read off the partitions.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -44,20 +46,19 @@ class GranuleFrequencyMatrix:
     decisions: Partition
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(row) for row in self.cells)
+        cells = tuple(map(tuple, self.cells))
         object.__setattr__(self, "cells", cells)
         _require_same_universe(self.granules, self.decisions)
         m, k = len(self.granules.blocks), len(self.decisions.blocks)
-        if len(cells) != m or any(len(row) != k for row in cells):
+        if len(cells) != m or set(map(len, cells)) != {k}:
             raise ShapeMismatchError(f"expected a {m}x{k} count matrix")
-        if any(c < 0 for row in cells for c in row):
+        if min(map(min, cells)) < 0:
             raise ValueError("counts must be non-negative")
-        for row, block in zip(cells, self.granules.blocks):
-            if sum(row) != len(block):
-                raise ValueError("row sums must equal granule sizes")
-        for j, cls in enumerate(self.decisions.blocks):
-            if sum(row[j] for row in cells) != len(cls):
-                raise ValueError("column sums must equal decision class sizes")
+        if tuple(map(sum, cells)) != self.granule_sizes:
+            raise ValueError("row sums must equal granule sizes")
+        column_sums = (sum(map(itemgetter(j), cells)) for j in range(k))
+        if tuple(column_sums) != self.class_sizes:
+            raise ValueError("column sums must equal decision class sizes")
 
     @property
     def m(self) -> int:
@@ -69,15 +70,15 @@ class GranuleFrequencyMatrix:
 
     @property
     def granule_sizes(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.cells)
+        return tuple(map(len, self.granules.blocks))
 
     @property
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.cells) for j in range(self.k))
+        return tuple(map(len, self.decisions.blocks))
 
     @property
     def total(self) -> int:
-        return sum(self.granule_sizes)
+        return len(self.granules.universe)
 
 
 @dataclass(frozen=True)
@@ -123,13 +124,20 @@ class RoughConfusionMatrix:
 def granule_frequency_matrix(
     granules: Partition, decisions: Partition
 ) -> GranuleFrequencyMatrix:
-    """Count, for every granule, how many members fall in each class."""
+    """Count, for every granule, how many members fall in each class.
+
+    One counting pass: each object is mapped to its class index once, then
+    every granule tallies its members by that index.
+    """
     _require_same_universe(granules, decisions)
-    cells = tuple(
-        tuple(len(block & cls) for cls in decisions.blocks)
-        for block in granules.blocks
-    )
-    return GranuleFrequencyMatrix(cells, granules, decisions)
+    class_of = {x: j for j, cls in enumerate(decisions.blocks) for x in cls}
+    cells = []
+    for block in granules.blocks:
+        row = [0] * len(decisions.blocks)
+        for x in block:
+            row[class_of[x]] += 1
+        cells.append(tuple(row))
+    return GranuleFrequencyMatrix(tuple(cells), granules, decisions)
 
 
 def _require_shapes(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> None:
@@ -177,9 +185,12 @@ def confusion_matrix(
     column margins remain the decision class sizes.
     """
     _require_shapes(f, gfm)
-    rows = [[0] * gfm.k for _ in range(gfm.k)]
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(gfm.k)]
     for source, cls in zip(gfm.cells, f.assignment):
-        target = rows[cls - 1]
-        for j, count in enumerate(source):
-            target[j] += count
-    return RoughConfusionMatrix(tuple(tuple(row) for row in rows))
+        groups[cls - 1].append(source)
+    return RoughConfusionMatrix(
+        tuple(
+            tuple(sum(map(itemgetter(j), group)) for j in range(gfm.k))
+            for group in groups
+        )
+    )

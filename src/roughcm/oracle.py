@@ -183,10 +183,6 @@ def exhaustive_best_classifier(
     return RoughClassifier(best, k), Fraction(best_score, gfm.total)
 
 
-def _chain_holds(chain: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(chain, chain[1:]))
-
-
 @dataclass(frozen=True)
 class BoundCheck:
     """One per-class inequality chain of a bound theorem, left to right."""
@@ -194,12 +190,13 @@ class BoundCheck:
     theorem: int
     class_index: int
     chain: tuple[int, ...]
-    passed: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chain", tuple(self.chain))
-        if self.passed != _chain_holds(self.chain):
-            raise ValueError("passed flag must mirror the chain")
+
+    @property
+    def passed(self) -> bool:
+        return all(a <= b for a, b in zip(self.chain, self.chain[1:]))
 
 
 @dataclass(frozen=True)
@@ -223,18 +220,16 @@ class TheoremReport:
     applicable: bool
     bound_checks: tuple[BoundCheck, ...]
     lemma_checks: tuple[LemmaCheck, ...]
-    overall_pass: bool
     context: Mapping[str, str]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bound_checks", tuple(self.bound_checks))
         object.__setattr__(self, "lemma_checks", tuple(self.lemma_checks))
         object.__setattr__(self, "context", dict(self.context))
-        expected = all(c.passed for c in self.bound_checks) and all(
-            c.passed for c in self.lemma_checks
-        )
-        if self.overall_pass != expected:
-            raise ValueError("overall_pass must mirror the individual checks")
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(c.passed for c in (*self.bound_checks, *self.lemma_checks))
 
 
 def verify_theorems(
@@ -260,7 +255,7 @@ def verify_theorems(
     ctx = dict(context or {})
     if not bounds.rule_validated:
         ctx.setdefault("status", "not-applicable: overlap rule violated")
-        return TheoremReport(False, (), (), True, ctx)
+        return TheoremReport(False, (), (), ctx)
 
     # one oracle pass per class serves theorem 1 and lemma part 2
     true_lower = [oracle_lower(granules, cls) for cls in decisions.blocks]
@@ -277,8 +272,7 @@ def verify_theorems(
             chains[3] = (nl, cb.nl_m, cb.nl_star2)
             chains[4] = (cb.nl_star2, cb.nu_m, nu)
         bound_checks += [
-            BoundCheck(theorem, j + 1, chain, _chain_holds(chain))
-            for theorem, chain in chains.items()
+            BoundCheck(theorem, j + 1, chain) for theorem, chain in chains.items()
         ]
 
     lemma_checks = []
@@ -293,9 +287,8 @@ def verify_theorems(
             zero_row = all(value == 0 for value in cm.cells[i])
             lemma_checks.append(LemmaCheck(3, i + 1, zero_row))
 
-    overall = all(c.passed for c in (*bound_checks, *lemma_checks))
     ctx.setdefault("row_maximal", "yes" if bounds.mrc_classifier else "no")
-    return TheoremReport(True, tuple(bound_checks), tuple(lemma_checks), overall, ctx)
+    return TheoremReport(True, tuple(bound_checks), tuple(lemma_checks), ctx)
 
 
 @dataclass(frozen=True)

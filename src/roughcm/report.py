@@ -10,9 +10,12 @@ report_from_dict, and identical inputs produce byte-identical JSON.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+import reprlib
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import starmap, zip_longest
+from operator import eq
 
 from .classifiers import (
     RoughClassifier,
@@ -34,7 +37,6 @@ from .indices import (
     ApproximationSummary,
     BoundsReport,
     ClassApproximation,
-    ClassBounds,
     alpha_hat_overall,
     alpha_hat_per_class,
     approximation_summary,
@@ -85,7 +87,8 @@ def fraction_from_triple(data: dict[str, object]) -> Fraction:
 class AnalysisReport:
     """Everything the analyze pipeline produces for one decision table.
 
-    Partitions, sizes and the success ratio are derived from the stages.
+    Partitions, sizes, row-maximality, the success ratio and the accuracy
+    estimates are derived from the stages.
     """
 
     source: str
@@ -97,11 +100,8 @@ class AnalysisReport:
     seed: int | None
     classifier: RoughClassifier
     validation: ValidationReport
-    row_maximal: bool
     confusion: RoughConfusionMatrix
     approximation: ApproximationSummary
-    alpha_hat: tuple[Fraction, ...]
-    alpha_overall: Fraction
     bounds: BoundsReport
     theorems: TheoremReport
 
@@ -128,6 +128,18 @@ class AnalysisReport:
     @property
     def success(self) -> Fraction:
         return success_ratio(self.confusion)
+
+    @property
+    def row_maximal(self) -> bool:
+        return self.bounds.mrc_classifier
+
+    @property
+    def alpha_hat(self) -> tuple[Fraction, ...]:
+        return alpha_hat_per_class(self.confusion)
+
+    @property
+    def alpha_overall(self) -> Fraction:
+        return alpha_hat_overall(self.confusion)
 
 
 def analyze_decision_system(
@@ -166,10 +178,8 @@ def analyze_decision_system(
     validation = validate_overlap(f, gfm)
     if not validation.satisfies_rule:
         raise OverlapViolationError(validation.violations)
-    row_maximal = is_row_maximal(f, gfm)
     cm = confusion_matrix(gfm, f)
-    summary = approximation_summary(granules, decisions)
-    bounds = confusion_bounds(cm, validation, is_mrc=row_maximal)
+    bounds = confusion_bounds(cm, validation, is_mrc=is_row_maximal(f, gfm))
     context = {
         "classifier": kind,
         "tie_break": tb_value if tb_value is not None else "-",
@@ -186,69 +196,52 @@ def analyze_decision_system(
         seed=seed_value,
         classifier=f,
         validation=validation,
-        row_maximal=row_maximal,
         confusion=cm,
-        approximation=summary,
-        alpha_hat=alpha_hat_per_class(cm),
-        alpha_overall=alpha_hat_overall(cm),
+        approximation=approximation_summary(gfm),
         bounds=bounds,
         theorems=theorems,
     )
 
 
-def report_to_dict(report: AnalysisReport) -> dict[str, object]:
-    """Plain-dict form of the report, ready for json.dumps."""
+def _derived(report: AnalysisReport) -> dict[str, object]:
+    """JSON form of every stored value that derives from the report's facts.
+
+    Keys are dotted paths into the report dict: report_to_dict writes these
+    values there, and report_from_dict checks the stored ones against them.
+    The two lists of rows that grow with the granule count are iterators,
+    so the check compares them row by row without building a copy.
+    """
     gfm = report.frequency
     cm = report.confusion
-    index_rows = []
-    for j, (approx, alpha) in enumerate(
-        zip(report.approximation.classes, report.alpha_hat), start=1
-    ):
-        index_rows.append(
-            {
-                "class": j,
-                "size": approx.size,
-                "lower_size": approx.lower_size,
-                "upper_size": approx.upper_size,
-                "lower_coverage": rational_triple(approx.lower_coverage),
-                "upper_precision": rational_triple(approx.upper_precision),
-                "accuracy": rational_triple(approx.accuracy),
-                "alpha_hat": rational_triple(alpha),
-            }
+    index_rows = [
+        {
+            "class": j,
+            "size": approx.size,
+            "lower_size": approx.lower_size,
+            "upper_size": approx.upper_size,
+            "lower_coverage": rational_triple(approx.lower_coverage),
+            "upper_precision": rational_triple(approx.upper_precision),
+            "accuracy": rational_triple(approx.accuracy),
+            "alpha_hat": rational_triple(alpha),
+        }
+        for j, (approx, alpha) in enumerate(
+            zip(report.approximation.classes, report.alpha_hat), start=1
         )
-    # ClassBounds declares its fields in the order the rows list them
-    bound_rows = [
-        {"class": j, **asdict(cb)}
-        for j, cb in enumerate(report.bounds.classes, start=1)
     ]
     return {
-        "input": {
-            "source": report.source,
-            "objects": report.n_objects,
-            "granules": report.n_granules,
-            "classes": report.n_classes,
-            "attributes": list(report.attribute_names),
-            "decision": report.decision_name,
-        },
-        "granules": [sorted(block) for block in report.granules.blocks],
-        "decision_classes": [sorted(block) for block in report.decisions.blocks],
-        "granule_matrix": {
-            "cells": [list(row) for row in gfm.cells],
-            "granule_sizes": list(gfm.granule_sizes),
-            "class_sizes": list(gfm.class_sizes),
-            "total": gfm.total,
-        },
-        "classifier": {
-            "kind": report.classifier_kind,
-            "tie_break": report.tie_break,
-            "seed": report.seed,
-            "assignment": [
-                [i, cls] for i, cls in enumerate(report.classifier.assignment, start=1)
-            ],
-            "row_maximal": report.row_maximal,
-            "satisfies_overlap": report.validation.satisfies_rule,
-            "violations": list(report.validation.violations),
-        },
+        "input.objects": report.n_objects,
+        "input.granules": report.n_granules,
+        "input.classes": report.n_classes,
+        "granule_matrix.cells": map(list, gfm.cells),
+        "granule_matrix.granule_sizes": list(gfm.granule_sizes),
+        "granule_matrix.class_sizes": list(gfm.class_sizes),
+        "granule_matrix.total": gfm.total,
+        "classifier.assignment": map(
+            list, enumerate(report.classifier.assignment, start=1)
+        ),
+        "classifier.row_maximal": report.row_maximal,
+        "classifier.satisfies_overlap": report.validation.satisfies_rule,
+        "classifier.violations": list(report.validation.violations),
         "confusion_matrix": {
             "cells": [list(row) for row in cm.cells],
             "row_sums": list(cm.row_sums),
@@ -264,20 +257,61 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
         "bounds": {
             "rule_validated": report.bounds.rule_validated,
             "mrc_classifier": report.bounds.mrc_classifier,
-            "classes": bound_rows,
+            # ClassBounds declares its fields in the order the rows list them
+            "classes": [
+                {"class": j, **asdict(cb)}
+                for j, cb in enumerate(report.bounds.classes, start=1)
+            ],
         },
+        "theorems.overall_pass": report.theorems.overall_pass,
+        "theorems.bound_checks": [
+            {
+                "theorem": c.theorem,
+                "class": c.class_index,
+                "chain": list(c.chain),
+                "passed": c.passed,
+            }
+            for c in report.theorems.bound_checks
+        ],
+    }
+
+
+def report_to_dict(report: AnalysisReport) -> dict[str, object]:
+    """Plain-dict form of the report, ready for json.dumps."""
+    derived = _derived(report)
+    return {
+        "input": {
+            "source": report.source,
+            "objects": derived["input.objects"],
+            "granules": derived["input.granules"],
+            "classes": derived["input.classes"],
+            "attributes": list(report.attribute_names),
+            "decision": report.decision_name,
+        },
+        "granules": [sorted(block) for block in report.granules.blocks],
+        "decision_classes": [sorted(block) for block in report.decisions.blocks],
+        "granule_matrix": {
+            "cells": list(derived["granule_matrix.cells"]),
+            "granule_sizes": derived["granule_matrix.granule_sizes"],
+            "class_sizes": derived["granule_matrix.class_sizes"],
+            "total": derived["granule_matrix.total"],
+        },
+        "classifier": {
+            "kind": report.classifier_kind,
+            "tie_break": report.tie_break,
+            "seed": report.seed,
+            "assignment": list(derived["classifier.assignment"]),
+            "row_maximal": derived["classifier.row_maximal"],
+            "satisfies_overlap": derived["classifier.satisfies_overlap"],
+            "violations": derived["classifier.violations"],
+        },
+        "confusion_matrix": derived["confusion_matrix"],
+        "indices": derived["indices"],
+        "bounds": derived["bounds"],
         "theorems": {
             "applicable": report.theorems.applicable,
-            "overall_pass": report.theorems.overall_pass,
-            "bound_checks": [
-                {
-                    "theorem": c.theorem,
-                    "class": c.class_index,
-                    "chain": list(c.chain),
-                    "passed": c.passed,
-                }
-                for c in report.theorems.bound_checks
-            ],
+            "overall_pass": derived["theorems.overall_pass"],
+            "bound_checks": derived["theorems.bound_checks"],
             "lemma_checks": [
                 {"part": c.part, "subject": c.subject, "passed": c.passed}
                 for c in report.theorems.lemma_checks
@@ -290,84 +324,103 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
 def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """Rebuild a report from its dict form; inverse of report_to_dict.
 
-    Malformed input raises ReportFormatError: a missing key, a value of the
-    wrong type, a part whose invariants fail, or a stored object, granule
-    or class count or success ratio that disagrees with the value derived
-    from the partitions and matrices.
+    Only facts are read: the partitions, the classifier assignment, the
+    provenance, each class's lower and upper approximation sizes and the
+    theorem record. Everything else is derived by the analysis stages, and
+    every stored copy is checked against its derived value. Malformed input
+    raises ReportFormatError: a missing key, a value of the wrong type, a
+    part whose invariants fail, or a stored copy that disagrees with the
+    derived value, named by its dotted path.
     """
     try:
         report = _rebuild(data)
-        meta, success = data["input"], data["indices"]["success_ratio"]
-        stored = {
-            "input.objects": (meta["objects"], report.n_objects),
-            "input.granules": (meta["granules"], report.n_granules),
-            "input.classes": (meta["classes"], report.n_classes),
-            "indices.success_ratio": (fraction_from_triple(success), report.success),
-        }
+        stale = next(
+            (
+                path
+                for path, derived in _derived(report).items()
+                if not _same(_at(data, path), derived)
+            ),
+            None,
+        )
     except KeyError as exc:
         raise ReportFormatError(f"malformed report: missing key {exc}") from exc
     except (
         ArithmeticError, LookupError, TypeError, ValueError, RoughAnalysisError
     ) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from exc
-    for name, (value, derived) in stored.items():
-        if value != derived:
-            raise ReportFormatError(
-                f"inconsistent report: {name} is {value}, the report derives {derived}"
-            )
+    if stale is not None:
+        derived = _derived(report)[stale]
+        if isinstance(derived, Iterator):
+            derived = list(derived)
+        path, stored, derived = _first_difference(stale, _at(data, stale), derived)
+        raise ReportFormatError(
+            f"malformed report: {path} is {reprlib.repr(stored)}, "
+            f"the report derives {reprlib.repr(derived)}"
+        )
     return report
 
 
+_END = object()
+
+
+def _same(stored: object, derived: object) -> bool:
+    if isinstance(derived, Iterator):
+        return isinstance(stored, list) and all(
+            starmap(eq, zip_longest(stored, derived, fillvalue=_END))
+        )
+    return stored == derived
+
+
+def _at(data: object, path: str) -> object:
+    for key in path.split("."):
+        data = data[key]
+    return data
+
+
+def _first_difference(
+    path: str, stored: object, derived: object
+) -> tuple[str, object, object]:
+    """Descend two unequal JSON values to the first item where they differ."""
+    while True:
+        if isinstance(stored, dict) and isinstance(derived, dict):
+            if stored.keys() != derived.keys():
+                return path, stored, derived
+            key = next(key for key in derived if stored[key] != derived[key])
+        elif isinstance(stored, list) and isinstance(derived, list):
+            if len(stored) != len(derived):
+                return path, stored, derived
+            key = next(i for i, (a, b) in enumerate(zip(stored, derived)) if a != b)
+        else:
+            return path, stored, derived
+        path, stored, derived = f"{path}.{key}", stored[key], derived[key]
+
+
 def _rebuild(data: dict[str, object]) -> AnalysisReport:
-    gfm = GranuleFrequencyMatrix(
-        tuple(tuple(row) for row in data["granule_matrix"]["cells"]),
+    gfm = granule_frequency_matrix(
         Partition(tuple(frozenset(block) for block in data["granules"])),
         Partition(tuple(frozenset(block) for block in data["decision_classes"])),
     )
-    meta = data["input"]
-    cls_data = data["classifier"]
-    classifier = RoughClassifier(tuple(cls for _, cls in cls_data["assignment"]), gfm.k)
-    validation = ValidationReport(
-        cls_data["satisfies_overlap"], tuple(cls_data["violations"])
-    )
-    cm = RoughConfusionMatrix(
-        tuple(tuple(row) for row in data["confusion_matrix"]["cells"])
-    )
-    idx = data["indices"]
-    per_class = tuple(
-        ClassApproximation(
-            size=row["size"],
-            lower_size=row["lower_size"],
-            upper_size=row["upper_size"],
-            lower_coverage=fraction_from_triple(row["lower_coverage"]),
-            upper_precision=fraction_from_triple(row["upper_precision"]),
-            accuracy=fraction_from_triple(row["accuracy"]),
-        )
-        for row in idx["classes"]
-    )
-    summary = ApproximationSummary(per_class, fraction_from_triple(idx["gamma"]))
-    alpha_hat = tuple(fraction_from_triple(row["alpha_hat"]) for row in idx["classes"])
-    bounds_data = data["bounds"]
-    bounds = BoundsReport(
+    meta, cls_data, thm = data["input"], data["classifier"], data["theorems"]
+    f = RoughClassifier(tuple(cls for _, cls in cls_data["assignment"]), gfm.k)
+    validation = validate_overlap(f, gfm)
+    cm = confusion_matrix(gfm, f)
+    rows = zip(gfm.class_sizes, data["indices"]["classes"], strict=True)
+    approximation = ApproximationSummary(
         tuple(
-            ClassBounds(**{key: value for key, value in row.items() if key != "class"})
-            for row in bounds_data["classes"]
-        ),
-        bounds_data["rule_validated"],
-        bounds_data["mrc_classifier"],
+            ClassApproximation(size, row["lower_size"], row["upper_size"])
+            for size, row in rows
+        )
     )
-    thm = data["theorems"]
     theorems = TheoremReport(
         applicable=thm["applicable"],
         bound_checks=tuple(
-            BoundCheck(c["theorem"], c["class"], tuple(c["chain"]), c["passed"])
+            BoundCheck(c["theorem"], c["class"], tuple(c["chain"]))
             for c in thm["bound_checks"]
         ),
         lemma_checks=tuple(
             LemmaCheck(c["part"], c["subject"], c["passed"])
             for c in thm["lemma_checks"]
         ),
-        overall_pass=thm["overall_pass"],
         context=dict(thm["context"]),
     )
     return AnalysisReport(
@@ -378,14 +431,11 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
         classifier_kind=cls_data["kind"],
         tie_break=cls_data["tie_break"],
         seed=cls_data["seed"],
-        classifier=classifier,
+        classifier=f,
         validation=validation,
-        row_maximal=cls_data["row_maximal"],
         confusion=cm,
-        approximation=summary,
-        alpha_hat=alpha_hat,
-        alpha_overall=fraction_from_triple(idx["alpha_overall"]),
-        bounds=bounds,
+        approximation=approximation,
+        bounds=confusion_bounds(cm, validation, is_row_maximal(f, gfm)),
         theorems=theorems,
     )
 

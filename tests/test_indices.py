@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from roughcm import (
@@ -31,15 +31,17 @@ from roughcm import (
     gamma_hat,
     granule_frequency_matrix,
     indicator,
+    lower_approximation,
     maximal_row_classifier,
     partition_by_attributes,
     random_decision_system,
     random_overlap_classifier,
     success_ratio,
+    upper_approximation,
     validate_overlap,
 )
 
-from conftest import partitions_from_counts
+from conftest import partition_pairs, partitions_from_counts
 
 TV_CM = RoughConfusionMatrix(((3, 1), (0, 2)))
 
@@ -53,7 +55,8 @@ def test_indicator():
 class TestApproximationSummary:
     def test_worked_example(self, tv_system):
         granules = partition_by_attributes(tv_system, ("Price", "Screen"))
-        summary = approximation_summary(granules, decision_partition(tv_system))
+        gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
+        summary = approximation_summary(gfm)
         assert summary.gamma == Fraction(2, 3)
         for approx in summary.classes:
             assert approx.size == 3
@@ -65,7 +68,8 @@ class TestApproximationSummary:
 
     def test_deterministic_system_scores_one(self, tv_system):
         granules = partition_by_attributes(tv_system, tv_system.condition_names)
-        summary = approximation_summary(granules, decision_partition(tv_system))
+        gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
+        summary = approximation_summary(gfm)
         assert summary.gamma == 1
         for approx in summary.classes:
             assert approx.lower_size == approx.size == approx.upper_size
@@ -75,27 +79,21 @@ class TestApproximationSummary:
         p = Partition((frozenset({1}), frozenset({2})))
         d = Partition((frozenset({1, 2}),))
         with pytest.raises(DegenerateDecisionError):
-            approximation_summary(p, d)
+            approximation_summary(granule_frequency_matrix(p, d))
 
     def test_class_record_consistency_is_enforced(self):
-        with pytest.raises(ValueError, match="lower_coverage"):
-            ClassApproximation(
-                size=3,
-                lower_size=2,
-                upper_size=4,
-                lower_coverage=Fraction(1, 2),
-                upper_precision=Fraction(3, 4),
-                accuracy=Fraction(1, 2),
-            )
         with pytest.raises(ValueError, match="lower_size <= size <= upper_size"):
-            ClassApproximation(
-                size=3,
-                lower_size=4,
-                upper_size=4,
-                lower_coverage=Fraction(4, 3),
-                upper_precision=Fraction(3, 4),
-                accuracy=Fraction(1, 1),
-            )
+            ClassApproximation(size=3, lower_size=4, upper_size=4)
+
+    @given(pair=partition_pairs())
+    def test_matches_the_set_approximations(self, pair):
+        granules, decisions = pair
+        assume(len(decisions) >= 2)
+        summary = approximation_summary(granule_frequency_matrix(granules, decisions))
+        for approx, cls in zip(summary.classes, decisions.blocks, strict=True):
+            assert approx.size == len(cls)
+            assert approx.lower_size == len(lower_approximation(granules, cls))
+            assert approx.upper_size == len(upper_approximation(granules, cls))
 
 
 class TestConfusionIndices:
@@ -185,7 +183,7 @@ class TestAggregateIdentity:
 
 class TestConfusionBounds:
     def test_worked_example_values(self):
-        validation = ValidationReport(True, ())
+        validation = ValidationReport(())
         report = confusion_bounds(TV_CM, validation, is_mrc=True)
         assert report.rule_validated and report.mrc_classifier
         first, second = report.classes
@@ -198,7 +196,7 @@ class TestConfusionBounds:
         assert not any(cb.clamped for cb in report.classes)
 
     def test_without_row_maximality_the_sharp_estimators_are_absent(self):
-        report = confusion_bounds(TV_CM, ValidationReport(True, ()), is_mrc=False)
+        report = confusion_bounds(TV_CM, ValidationReport(()), is_mrc=False)
         assert all(cb.nl_m is None and cb.nu_m is None for cb in report.classes)
 
     def test_negative_raw_estimates_are_clamped(self):
@@ -219,7 +217,7 @@ class TestConfusionBounds:
     def test_chain_holds_on_random_validated_instances(self):
         for seed in range(200):
             *_, f, cm = _random_confusion(seed)
-            report = confusion_bounds(cm, ValidationReport(True, ()), is_mrc=False)
+            report = confusion_bounds(cm, ValidationReport(()), is_mrc=False)
             for cb in report.classes:
                 assert cb.nl_star2 <= cb.nl_star <= cb.class_size
                 assert cb.class_size <= cb.nu_star <= cb.nu_star2
@@ -234,11 +232,6 @@ class TestBoundsReportInvariants:
     def test_sharp_estimators_require_the_flag(self):
         cb = ClassBounds(3, 3, 2, 4, 4, 2, 4, False)
         with pytest.raises(ValueError, match="without the flag"):
-            BoundsReport((cb,), rule_validated=True, mrc_classifier=False)
-
-    def test_validated_chain_is_enforced(self):
-        cb = ClassBounds(3, 2, 3, 4, 4, None, None, False)
-        with pytest.raises(ValueError, match="chain violated"):
             BoundsReport((cb,), rule_validated=True, mrc_classifier=False)
 
     def test_unvalidated_reports_may_break_the_chain(self):

@@ -3,16 +3,23 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from roughcm import (
+    AnalysisReport,
+    ApproximationSummary,
+    BoundCheck,
+    ClassApproximation,
     OverlapViolationError,
     ReportFormatError,
     RoughAnalysisError,
     RoughClassifier,
+    TheoremReport,
     TieBreak,
+    ValidationReport,
     analyze_decision_system,
     fraction_from_triple,
     rational_triple,
@@ -240,6 +247,14 @@ def _put(value, *path):
     return edit
 
 
+def _both(*edits):
+    def edit(data):
+        for one in edits:
+            one(data)
+
+    return edit
+
+
 class TestMalformedReports:
     """Every malformed report dict fails with ReportFormatError, never a bare error."""
 
@@ -327,3 +342,88 @@ class TestMalformedReports:
         assert tv_report.n_classes == tv_report.frequency.k == 2
         assert tv_report.granules is tv_report.frequency.granules
         assert tv_report.decisions is tv_report.frequency.decisions
+
+
+class TestTamperedCopies:
+    """A stored copy that disagrees with the value derived from the facts is
+    rejected, and the message names its dotted path."""
+
+    @pytest.mark.parametrize(
+        "edit,path",
+        [
+            (
+                _put([[2, 0], [0, 1], [0, 1], [1, 1]], "granule_matrix", "cells"),
+                "granule_matrix.cells.0",
+            ),
+            (
+                _put([[1, 2], [2, 2], [3, 2], [4, 1]], "classifier", "assignment"),
+                "confusion_matrix.cells.0",
+            ),
+            (_put(False, "classifier", "row_maximal"), "classifier.row_maximal"),
+            (_put(99, "granule_matrix", "total"), "granule_matrix.total"),
+            (_put([3, 3], "confusion_matrix", "row_sums"), "confusion_matrix.row_sums.0"),
+            (
+                _put(rational_triple(Fraction(1, 2)), "indices", "classes", 0, "alpha_hat"),
+                "indices.classes.0.alpha_hat",
+            ),
+            (
+                _put(rational_triple(Fraction(1, 2)), "indices", "alpha_overall"),
+                "indices.alpha_overall",
+            ),
+            (_put(9, "bounds", "classes", 0, "nl_star"), "bounds.classes.0.nl_star"),
+            (
+                _both(
+                    _put(False, "classifier", "satisfies_overlap"),
+                    _put([2], "classifier", "violations"),
+                ),
+                "classifier.satisfies_overlap",
+            ),
+        ],
+    )
+    def test_tampered_copy_is_rejected(self, tv_report, edit, path):
+        data = report_to_dict(tv_report)
+        edit(data)
+        with pytest.raises(ReportFormatError) as info:
+            report_from_dict(data)
+        assert str(info.value).startswith(f"malformed report: {path}")
+
+    def test_granule_index_of_the_assignment_is_checked(self, tv_report):
+        data = report_to_dict(tv_report)
+        data["classifier"]["assignment"][1][0] = 7
+        with pytest.raises(ReportFormatError, match=r"classifier\.assignment\.1\.0 is 7"):
+            report_from_dict(data)
+
+    def test_a_missing_class_row_is_rejected(self, tv_report):
+        data = report_to_dict(tv_report)
+        del data["indices"]["classes"][1]
+        with pytest.raises(ReportFormatError, match="^malformed report:"):
+            report_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "cls,names",
+        [
+            (ValidationReport, ["satisfies_rule"]),
+            (BoundCheck, ["passed"]),
+            (TheoremReport, ["overall_pass"]),
+            (ClassApproximation, ["lower_coverage", "upper_precision", "accuracy"]),
+            (ApproximationSummary, ["gamma"]),
+            (AnalysisReport, ["row_maximal", "alpha_hat", "alpha_overall"]),
+        ],
+    )
+    def test_derived_values_are_properties(self, cls, names):
+        stored = {field.name for field in fields(cls)}
+        for name in names:
+            assert name not in stored
+            assert isinstance(getattr(cls, name), property)
+
+    def test_derived_values_follow_their_sources(self, tv_report):
+        assert tv_report.row_maximal is tv_report.bounds.mrc_classifier
+        assert tv_report.alpha_hat == (Fraction(3, 4), Fraction(2, 3))
+        assert tv_report.alpha_overall == Fraction(5, 7)
+        assert tv_report.validation.satisfies_rule
+        first = tv_report.approximation.classes[0]
+        assert (first.lower_coverage, first.upper_precision, first.accuracy) == (
+            Fraction(2, 3), Fraction(3, 4), Fraction(1, 2)
+        )
+        assert BoundCheck(1, 1, (2, 3, 3)).passed
+        assert not BoundCheck(1, 1, (3, 2)).passed

@@ -113,11 +113,13 @@ class Partition:
 
     Blocks are sorted by their smallest member on construction, so every
     matrix and report derived from a partition is reproducible byte for
-    byte regardless of how the blocks were supplied.
+    byte regardless of how the blocks were supplied. The constructor also
+    maps each object to the 0-based index of its block (`block_index`);
+    the universe is that map's key set.
     """
 
     blocks: tuple[ObjectSet, ...]
-    _universe: ObjectSet = field(init=False, repr=False, compare=False)
+    block_index: Mapping[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         blocks = tuple(frozenset(block) for block in self.blocks)
@@ -125,29 +127,30 @@ class Partition:
             raise ValueError("a partition needs at least one block")
         if any(not block for block in blocks):
             raise ValueError("partition blocks must be nonempty")
-        universe = frozenset().union(*blocks)
-        if sum(len(block) for block in blocks) != len(universe):
+        blocks = tuple(sorted(blocks, key=min))
+        block_index = {x: i for i, block in enumerate(blocks) for x in block}
+        if sum(map(len, blocks)) != len(block_index):
             raise ValueError("partition blocks must be pairwise disjoint")
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
-        object.__setattr__(self, "_universe", universe)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "block_index", block_index)
 
     def __len__(self) -> int:
         return len(self.blocks)
 
     @property
     def universe(self) -> ObjectSet:
-        return self._universe
+        return frozenset(self.block_index)
 
 
 def _require_members(p: Partition, members: ObjectSet) -> None:
-    foreign = members - p.universe
+    foreign = members.difference(p.block_index)
     if foreign:
         listed = ", ".join(str(x) for x in sorted(foreign))
         raise UniverseMismatchError(f"object id(s) outside the universe: {listed}")
 
 
 def _require_same_universe(p: Partition, q: Partition) -> None:
-    if p.universe != q.universe:
+    if p.block_index.keys() != q.block_index.keys():
         raise UniverseMismatchError("partitions cover different object sets")
 
 
@@ -208,9 +211,7 @@ def deterministic_region(p: Partition, decisions: Partition) -> ObjectSet:
     union of the lower approximations of all decision classes.
     """
     _require_same_universe(p, decisions)
-    chosen = []
-    for block in p.blocks:
-        hits = sum(1 for cls in decisions.blocks if block & cls)
-        if hits == 1:
-            chosen.append(block)
-    return frozenset().union(*chosen)
+    class_of = decisions.block_index
+    return frozenset().union(
+        *(block for block in p.blocks if len({class_of[x] for x in block}) == 1)
+    )

@@ -78,7 +78,7 @@ class GranuleFrequencyMatrix:
 
     @property
     def total(self) -> int:
-        return len(self.granules.universe)
+        return len(self.granules.block_index)
 
 
 @dataclass(frozen=True)
@@ -126,11 +126,12 @@ def granule_frequency_matrix(
 ) -> GranuleFrequencyMatrix:
     """Count, for every granule, how many members fall in each class.
 
-    One counting pass: each object is mapped to its class index once, then
-    every granule tallies its members by that index.
+    One counting pass: every granule tallies its members by the class
+    index the decision partition maps them to. The universes are compared
+    first, so a granule member without a class is refused, not looked up.
     """
     _require_same_universe(granules, decisions)
-    class_of = {x: j for j, cls in enumerate(decisions.blocks) for x in cls}
+    class_of = decisions.block_index
     cells = []
     for block in granules.blocks:
         row = [0] * len(decisions.blocks)

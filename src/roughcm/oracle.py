@@ -135,24 +135,20 @@ def random_overlap_classifier(gfm: GranuleFrequencyMatrix, seed: int) -> RoughCl
     return RoughClassifier(tuple(assignment), gfm.k)
 
 
-def _block_of(p: Partition) -> dict[int, ObjectSet]:
-    return {x: block for block in p.blocks for x in block}
-
-
 def oracle_lower(p: Partition, members: Iterable[int]) -> ObjectSet:
     """Per-element route: keep x when the whole block of x sits inside the set."""
     target = frozenset(members)
     _require_members(p, target)
-    block_of = _block_of(p)
-    return frozenset(x for x in p.universe if block_of[x] <= target)
+    blocks, index = p.blocks, p.block_index
+    return frozenset(x for x in target if blocks[index[x]] <= target)
 
 
 def oracle_upper(p: Partition, members: Iterable[int]) -> ObjectSet:
     """Per-element route: keep x when the block of x meets the set."""
     target = frozenset(members)
     _require_members(p, target)
-    block_of = _block_of(p)
-    return frozenset(x for x in p.universe if block_of[x] & target)
+    met = {p.block_index[y] for y in target}
+    return frozenset(x for x, i in p.block_index.items() if i in met)
 
 
 def exhaustive_best_classifier(

@@ -36,7 +36,6 @@ from .errors import OverlapViolationError, ReportFormatError, RoughAnalysisError
 from .indices import (
     ApproximationSummary,
     BoundsReport,
-    ClassApproximation,
     alpha_hat_overall,
     alpha_hat_per_class,
     approximation_summary,
@@ -115,7 +114,7 @@ class AnalysisReport:
 
     @property
     def n_objects(self) -> int:
-        return len(self.granules.universe)
+        return self.frequency.total
 
     @property
     def n_granules(self) -> int:
@@ -325,11 +324,11 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """Rebuild a report from its dict form; inverse of report_to_dict.
 
     Only facts are read: the partitions, the classifier assignment, the
-    provenance, each class's lower and upper approximation sizes and the
-    theorem record. Everything else is derived by the analysis stages, and
-    every stored copy is checked against its derived value. Malformed input
-    raises ReportFormatError: a missing key, a value of the wrong type, a
-    part whose invariants fail, or a stored copy that disagrees with the
+    provenance and the theorem record. Everything else is derived by the
+    analysis stages, and every stored copy is checked against its derived
+    value. Malformed input raises ReportFormatError: a missing key, a value
+    of the wrong type, a part whose invariants fail, a classifier that
+    breaks the overlap rule, or a stored copy that disagrees with the
     derived value, named by its dotted path.
     """
     try:
@@ -403,14 +402,9 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
     meta, cls_data, thm = data["input"], data["classifier"], data["theorems"]
     f = RoughClassifier(tuple(cls for _, cls in cls_data["assignment"]), gfm.k)
     validation = validate_overlap(f, gfm)
+    if not validation.satisfies_rule:
+        raise OverlapViolationError(validation.violations)
     cm = confusion_matrix(gfm, f)
-    rows = zip(gfm.class_sizes, data["indices"]["classes"], strict=True)
-    approximation = ApproximationSummary(
-        tuple(
-            ClassApproximation(size, row["lower_size"], row["upper_size"])
-            for size, row in rows
-        )
-    )
     theorems = TheoremReport(
         applicable=thm["applicable"],
         bound_checks=tuple(
@@ -434,7 +428,7 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
         classifier=f,
         validation=validation,
         confusion=cm,
-        approximation=approximation,
+        approximation=approximation_summary(gfm),
         bounds=confusion_bounds(cm, validation, is_row_maximal(f, gfm)),
         theorems=theorems,
     )

@@ -66,6 +66,12 @@ class TestGranuleFrequencyMatrix:
         with pytest.raises(UniverseMismatchError):
             granule_frequency_matrix(p, d)
 
+    def test_rejects_a_granule_member_without_a_class(self):
+        p = Partition((frozenset({1, 2}), frozenset({3})))
+        d = Partition((frozenset({1}), frozenset({2})))
+        with pytest.raises(UniverseMismatchError):
+            granule_frequency_matrix(p, d)
+
     def test_rejects_wrong_shape(self, tv_parts):
         granules, decisions = tv_parts
         with pytest.raises(ShapeMismatchError, match="4x2"):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -21,12 +21,17 @@ from roughcm import (
     TieBreak,
     ValidationReport,
     analyze_decision_system,
+    confusion_bounds,
+    confusion_matrix,
     fraction_from_triple,
+    is_row_maximal,
     rational_triple,
     render_text,
     report_from_dict,
     report_to_dict,
     report_to_json,
+    validate_overlap,
+    verify_theorems,
 )
 
 
@@ -386,6 +391,49 @@ class TestTamperedCopies:
         with pytest.raises(ReportFormatError) as info:
             report_from_dict(data)
         assert str(info.value).startswith(f"malformed report: {path}")
+
+    def test_consistent_tamper_of_an_approximation_size_is_rejected(self, tv_report):
+        # class 1 has size 3, lower 2, upper 4; claim lower 1 with every
+        # ratio that depends on it rewritten to match
+        data = report_to_dict(tv_report)
+        row = data["indices"]["classes"][0]
+        row["lower_size"] = 1
+        row["lower_coverage"] = rational_triple(Fraction(1, 3))
+        row["accuracy"] = rational_triple(Fraction(1, 4))
+        lower_total = 1 + data["indices"]["classes"][1]["lower_size"]
+        data["indices"]["gamma"] = rational_triple(Fraction(lower_total, 6))
+        with pytest.raises(ReportFormatError) as info:
+            report_from_dict(data)
+        assert str(info.value).startswith("malformed report: indices.")
+
+    def test_consistent_report_of_a_rule_breaking_classifier_is_rejected(
+        self, tv_report
+    ):
+        gfm = tv_report.frequency
+        f = RoughClassifier((1, 2, 2, 2), gfm.k)
+        validation = validate_overlap(f, gfm)
+        cm = confusion_matrix(gfm, f)
+        bounds = confusion_bounds(cm, validation, is_row_maximal(f, gfm))
+        report = replace(
+            tv_report,
+            classifier_kind="custom",
+            tie_break=None,
+            seed=None,
+            classifier=f,
+            validation=validation,
+            confusion=cm,
+            bounds=bounds,
+            theorems=verify_theorems(gfm, f, cm, bounds),
+        )
+        data = report_to_dict(report)
+        assert data["classifier"]["violations"] == [4]
+        assert data["theorems"]["applicable"] is False
+        expected = (
+            "malformed report: classifier violates the overlap rule at granule(s) 4"
+        )
+        with pytest.raises(ReportFormatError) as info:
+            report_from_dict(data)
+        assert str(info.value) == expected
 
     def test_granule_index_of_the_assignment_is_checked(self, tv_report):
         data = report_to_dict(tv_report)

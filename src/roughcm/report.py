@@ -4,18 +4,23 @@ The JSON form is the canonical machine format: rationals appear as
 {num, den, decimal} triples where the num/den pair is exact and the
 decimal field is a six-place string rendering for human eyes only.
 Serialization round-trips losslessly through report_to_dict and
-report_from_dict, and identical inputs produce byte-identical JSON.
+report_from_dict, and identical inputs produce byte-identical JSON:
+report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
+and a newline, with its own writer that handles only the JSON types the
+dict holds. report_from_dict reads only the facts, requires each to have
+its JSON type (ids, classes, chain entries and lemma numbers int; flags
+bool; provenance and context str), and derives the rest.
 """
 
 from __future__ import annotations
 
-import json
 import reprlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import starmap, zip_longest
-from operator import eq
+from itertools import chain, repeat, starmap, zip_longest
+from json.encoder import encode_basestring_ascii as _escape
+from operator import eq, itemgetter
 
 from .classifiers import (
     RoughClassifier,
@@ -394,13 +399,62 @@ def _first_difference(
         path, stored, derived = f"{path}.{key}", stored[key], derived[key]
 
 
+def _types(values: Iterable[object]) -> set[type]:
+    return set(map(type, values))
+
+
+def _type_names(types: set[type]) -> str:
+    return " or ".join(sorted("null" if t is type(None) else t.__name__ for t in types))
+
+
 def _rebuild(data: dict[str, object]) -> AnalysisReport:
+    meta, cls_data, thm = data["input"], data["classifier"], data["theorems"]
+    pairs, lemmas = cls_data["assignment"], thm["lemma_checks"]
+    if set(map(len, pairs)) - {2}:
+        raise ValueError("classifier.assignment entries must be [granule, class] pairs")
+    # Facts are written back as read, so each must have the type its JSON
+    # form needs: a float id or a bool class would load (1.0 == True == 1).
+    for what, allowed, values in (
+        ("granule members", {int}, chain.from_iterable(data["granules"])),
+        ("decision class members", {int}, chain.from_iterable(data["decision_classes"])),
+        ("classifier.assignment entries", {int}, chain.from_iterable(pairs)),
+        ("input.source", {str}, [meta["source"]]),
+        ("input.decision", {str}, [meta["decision"]]),
+        ("input.attributes", {list}, [meta["attributes"]]),
+        ("input.attributes entries", {str}, meta["attributes"]),
+        ("classifier.kind", {str}, [cls_data["kind"]]),
+        ("classifier.tie_break", {str, type(None)}, [cls_data["tie_break"]]),
+        ("classifier.seed", {int, type(None)}, [cls_data["seed"]]),
+        ("theorems.applicable", {bool}, [thm["applicable"]]),
+        (
+            "bound check theorems, classes and chains",
+            {int},
+            chain.from_iterable(
+                (c["theorem"], c["class"], *c["chain"]) for c in thm["bound_checks"]
+            ),
+        ),
+        (
+            "lemma check parts and subjects",
+            {int},
+            chain.from_iterable(map(itemgetter("part", "subject"), lemmas)),
+        ),
+        ("lemma check flags", {bool}, map(itemgetter("passed"), lemmas)),
+        (
+            "theorems.context keys and values",
+            {str},
+            chain.from_iterable(dict.items(thm["context"])),
+        ),
+    ):
+        wrong = _types(values) - allowed
+        if wrong:
+            raise TypeError(
+                f"{what} must be {_type_names(allowed)}, not {_type_names(wrong)}"
+            )
     gfm = granule_frequency_matrix(
         Partition(tuple(frozenset(block) for block in data["granules"])),
         Partition(tuple(frozenset(block) for block in data["decision_classes"])),
     )
-    meta, cls_data, thm = data["input"], data["classifier"], data["theorems"]
-    f = RoughClassifier(tuple(cls for _, cls in cls_data["assignment"]), gfm.k)
+    f = RoughClassifier(tuple(cls for _, cls in pairs), gfm.k)
     validation = validate_overlap(f, gfm)
     if not validation.satisfies_rule:
         raise OverlapViolationError(validation.violations)
@@ -413,7 +467,7 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
         ),
         lemma_checks=tuple(
             LemmaCheck(c["part"], c["subject"], c["passed"])
-            for c in thm["lemma_checks"]
+            for c in lemmas
         ),
         context=dict(thm["context"]),
     )
@@ -435,8 +489,56 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
 
 
 def report_to_json(report: AnalysisReport) -> str:
-    """Canonical JSON rendering: stable key order, two-space indent."""
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """Canonical JSON rendering: stable key order, two-space indent.
+
+    The text is exactly `json.dumps(report_to_dict(report), indent=2) + "\\n"`.
+    """
+    return _json(report_to_dict(report), "") + "\n"
+
+
+def _json(value: object, pad: str) -> str:
+    """`json.dumps(value, indent=2)` for the values report_to_dict emits.
+
+    Dicts with str keys, lists, str, int, bool and None; any other type
+    raises TypeError instead of changing the layout. json.dumps runs a
+    pure-Python encoder whenever it indents; here each container is one
+    str.join, and a list of ints, or of nonempty lists of ints (the rows
+    that grow with the granule count), is laid out without a Python call
+    per item or row.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _escape(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list:
+        if not value:
+            return "[]"
+        types = _types(value)
+        if types == {int}:
+            body = sep.join(map(int.__repr__, value))
+        elif types == {list} and all(value) and _types(chain.from_iterable(value)) == {int}:
+            row_pad = inner + "  "
+            rows = map(f",\n{row_pad}".join, map(map, repeat(int.__repr__), value))
+            body = f"\n{inner}]{sep}[\n{row_pad}".join(rows)
+            body = f"[\n{row_pad}{body}\n{inner}]"
+        else:
+            body = sep.join([_json(item, inner) for item in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        body = sep.join([f"{_escape(k)}: {_json(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    raise TypeError(f"report JSON cannot hold a {kind.__name__}")
 
 
 def _grid(corner: str, col_labels: list[str], row_labels: list[str], rows: list[list[object]]) -> list[str]:

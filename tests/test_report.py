@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from roughcm import (
     AnalysisReport,
@@ -33,6 +36,9 @@ from roughcm import (
     validate_overlap,
     verify_theorems,
 )
+from roughcm.report import _json
+
+from conftest import build_system
 
 
 class TestRationalTriple:
@@ -196,6 +202,89 @@ class TestSerialization:
         assert report_from_dict(report_to_dict(report)) == report
 
 
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**70), 2**70)
+    | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+)
+
+
+class TestJsonWriter:
+    """report_to_json's writer lays values out exactly as json.dumps(indent=2)."""
+
+    @given(st.one_of(_json_values, st.lists(st.lists(st.integers()), min_size=1)))
+    @example([[1, -2], [3]])
+    @example([[1], []])
+    def test_matches_json_dumps(self, value):
+        assert _json(value, "") == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, (1, 2), {1: 2}, [1, 2.5], [[1], [2.5]], {"a": [(1,)]}]
+    )
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            _json(value, "")
+
+
+def _medium_table(n_values: int, seed: int):
+    """3,000 seeded rows over 3 attributes and 4 decisions."""
+    rng = random.Random(seed)
+    header = ("a", "b", "c", "d")
+    # a third of the attribute combinations decide the class
+    fixed: dict[tuple[str, ...], str | None] = {}
+    rows = []
+    for _ in range(3_000):
+        key = tuple(f"v{rng.randrange(n_values)}" for _ in range(3))
+        if key not in fixed:
+            fixed[key] = f"y{rng.randrange(4)}" if rng.random() < 1 / 3 else None
+        rows.append((*key, fixed[key] or f"y{rng.randrange(4)}"))
+    return build_system(header, rows)
+
+
+def _meeting_classifier(seed: int):
+    """A seeded classifier that gives each granule a class it meets."""
+
+    def build(gfm):
+        rng = random.Random(seed)
+        return RoughClassifier(
+            tuple(
+                rng.choice([j for j, count in enumerate(row, start=1) if count])
+                for row in gfm.cells
+            ),
+            gfm.k,
+        )
+
+    return build
+
+
+class TestMediumReports:
+    """Reports far larger than the worked example, one m << n and one m ~ n;
+    the second classifier is not row-maximal, so its sharp bounds are null."""
+
+    @pytest.mark.parametrize(
+        "n_values,classifier,granules,row_maximal",
+        [
+            (4, None, range(1, 65), True),
+            (30, _meeting_classifier(7), range(2_500, 3_001), False),
+        ],
+        ids=["coarse-mrc", "fine-mapping"],
+    )
+    def test_json_matches_json_dumps_and_round_trips(
+        self, n_values, classifier, granules, row_maximal
+    ):
+        report = analyze_decision_system(
+            _medium_table(n_values, seed=n_values), classifier=classifier
+        )
+        assert report.n_granules in granules
+        assert report.row_maximal is row_maximal
+        text = report_to_json(report)
+        assert text == json.dumps(report_to_dict(report), indent=2) + "\n"
+        assert report_to_json(report_from_dict(json.loads(text))) == text
+
+
 class TestRenderText:
     def test_worked_example_sections(self, tv_report):
         text = render_text(tv_report)
@@ -260,6 +349,16 @@ def _both(*edits):
     return edit
 
 
+def _ids(convert):
+    """Convert every object id in both partitions, keeping the blocks."""
+
+    def edit(data):
+        for key in ("granules", "decision_classes"):
+            data[key] = [[convert(x) for x in block] for block in data[key]]
+
+    return edit
+
+
 class TestMalformedReports:
     """Every malformed report dict fails with ReportFormatError, never a bare error."""
 
@@ -294,6 +393,19 @@ class TestMalformedReports:
             _put({"num": 5, "den": 0, "decimal": "-"}, "indices", "alpha_overall"),
             _put("3", "bounds", "classes", 0, "nl_star"),
             _put(None, "theorems", "lemma_checks"),
+            _ids(float),
+            _ids(str),
+            _ids(lambda x: True if x == 1 else x),
+            _put(True, "classifier", "assignment", 0, 1),
+            _put(0.5, "classifier", "seed"),
+            _put(7, "input", "source"),
+            _put(["mrc"], "classifier", "kind"),
+            _put(1.5, "classifier", "tie_break"),
+            _put("yes", "theorems", "applicable"),
+            _put(1, "theorems", "lemma_checks", 0, "passed"),
+            _put(0.5, "theorems", "bound_checks", 0, "chain", 0),
+            _put([1.5], "theorems", "context", "classifier"),
+            _put("ab", "input", "attributes"),
         ],
     )
     def test_wrongly_typed_value(self, tv_report, edit):

@@ -13,6 +13,7 @@ import json
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 from .classifiers import RoughClassifier, TieBreak, classifier_from_text
@@ -41,7 +42,11 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
     ragged rows, and duplicate or empty header names are rejected.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        records = list(csv.reader(handle))
+        reader = csv.reader(handle)
+        try:
+            records = list(reader)
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if not records:
         raise CsvFormatError(f"{path}: empty file")
     header, *rows = records
@@ -64,19 +69,18 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
             raise CsvFormatError(
                 f"{path}: row {number} has {len(row)} cells, expected {len(header)}"
             )
-        for name, cell in zip(header, row):
-            if cell == "":
-                raise CsvFormatError(
-                    f"{path}: row {number}, column {name!r} is empty"
-                )
+        if "" in row:
+            name = header[row.index("")]
+            raise CsvFormatError(f"{path}: row {number}, column {name!r} is empty")
     if decision_column is None:
         decision_column = header[-1]
     if decision_column not in header:
         raise CsvFormatError(f"{path}: unknown decision column {decision_column!r}")
     ids = tuple(range(1, len(rows) + 1))
-    columns: dict[str, dict[int, str]] = {}
-    for position, name in enumerate(header):
-        columns[name] = {i: row[position] for i, row in zip(ids, rows)}
+    columns = {
+        name: dict(zip(ids, map(itemgetter(position), rows)))
+        for position, name in enumerate(header)
+    }
     conditions = tuple(
         Attribute(name, columns[name]) for name in header if name != decision_column
     )

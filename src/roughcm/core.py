@@ -22,7 +22,7 @@ functions, so values can be shared freely.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -83,12 +83,11 @@ class DecisionSystem:
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
         for attribute in (*self.condition_attributes, self.decision_attribute):
-            if set(attribute.values.keys()) != universe:
+            if attribute.values.keys() != universe:
                 raise ValueError(
                     f"attribute {attribute.name!r} must map exactly the object ids"
                 )
-        decided = {self.decision_attribute.values[x] for x in self.object_ids}
-        if len(decided) < 2:
+        if len(set(self.decision_attribute.values.values())) < 2:
             raise DegenerateDecisionError(
                 f"decision attribute {self.decision_attribute.name!r} takes a single "
                 "value; at least two decision classes are required"
@@ -167,20 +166,27 @@ def partition_by_attributes(ds: DecisionSystem, attributes: Iterable[str]) -> Pa
     unknown = tuple(sorted(requested - set(ds.condition_names)))
     if unknown:
         raise UnknownAttributeError(unknown)
-    selected = [a for a in ds.condition_attributes if a.name in requested]
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for x in ds.object_ids:
-        key = tuple(a.values[x] for a in selected)
-        groups.setdefault(key, []).append(x)
-    return Partition(tuple(frozenset(g) for g in groups.values()))
+    ids = ds.object_ids
+    columns = [
+        map(a.values.__getitem__, ids)
+        for a in ds.condition_attributes
+        if a.name in requested
+    ]
+    return _group(ids, zip(*columns))
 
 
 def decision_partition(ds: DecisionSystem) -> Partition:
     """Partition the objects by decision value: the decision classes."""
-    groups: dict[str, list[int]] = {}
-    for x in ds.object_ids:
-        groups.setdefault(ds.decision_attribute.values[x], []).append(x)
-    return Partition(tuple(frozenset(g) for g in groups.values()))
+    ids = ds.object_ids
+    return _group(ids, map(ds.decision_attribute.values.__getitem__, ids))
+
+
+def _group(ids: Iterable[int], keys: Iterable[Hashable]) -> Partition:
+    """One block per distinct key, holding the ids paired with that key."""
+    groups: dict[Hashable, list[int]] = {}
+    for x, key in zip(ids, keys):
+        groups.setdefault(key, []).append(x)
+    return Partition(tuple(map(frozenset, groups.values())))
 
 
 def lower_approximation(p: Partition, members: Iterable[int]) -> ObjectSet:

@@ -1,7 +1,8 @@
 """Independent verifiers and a seeded random-instance generator.
 
 Everything here exists to check the main code paths by a different route:
-approximations are recomputed per element instead of per block, the best
+approximations are recomputed per element, each finding its block through
+the partition's object-to-block map, instead of per block, the best
 classifier is found by enumerating every assignment instead of taking row
 maxima, and the bound theorems are verified inequality by inequality on
 randomly generated decision systems. The generator is fully deterministic
@@ -144,11 +145,12 @@ def oracle_lower(p: Partition, members: Iterable[int]) -> ObjectSet:
 
 
 def oracle_upper(p: Partition, members: Iterable[int]) -> ObjectSet:
-    """Per-element route: keep x when the block of x meets the set."""
+    """Per-element route: unite the blocks the set's own members map to,
+    so the cost follows the upper approximation's size, not the universe's."""
     target = frozenset(members)
     _require_members(p, target)
-    met = {p.block_index[y] for y in target}
-    return frozenset(x for x, i in p.block_index.items() if i in met)
+    met = set(map(p.block_index.__getitem__, target))
+    return frozenset().union(*map(p.blocks.__getitem__, met))
 
 
 def exhaustive_best_classifier(
@@ -271,11 +273,14 @@ def verify_theorems(
             BoundCheck(theorem, j + 1, chain) for theorem, chain in chains.items()
         ]
 
-    lemma_checks = []
-    for i, (row, block) in enumerate(zip(gfm.cells, granules.blocks), start=1):
-        for j, count in enumerate(row, start=1):
-            if count == len(block):
-                lemma_checks.append(LemmaCheck(1, i, f.assignment[i - 1] == j))
+    # a granule lies inside class j exactly when its row holds its size at j
+    lemma_checks = [
+        LemmaCheck(1, i, cls == row.index(size) + 1)
+        for i, (row, size, cls) in enumerate(
+            zip(gfm.cells, map(len, granules.blocks), f.assignment), start=1
+        )
+        if size in row
+    ]
     for j, low in enumerate(true_lower, start=1):
         lemma_checks.append(LemmaCheck(2, j, low <= predictor_set(f, j, granules)))
     for i in range(cm.k):

@@ -9,7 +9,8 @@ report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
 and a newline, with its own writer that handles only the JSON types the
 dict holds. report_from_dict reads only the facts, requires each to have
 its JSON type (ids, classes, chain entries and lemma numbers int; flags
-bool; provenance and context str), and derives the rest.
+bool; provenance and context str), and derives the rest, comparing every
+stored copy with its derived value, JSON type included.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import reprlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, repeat, starmap, zip_longest
+from itertools import chain, filterfalse, repeat, starmap, zip_longest
 from json.encoder import encode_basestring_ascii as _escape
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 
 from .classifiers import (
     RoughClassifier,
@@ -368,10 +369,28 @@ _END = object()
 
 
 def _same(stored: object, derived: object) -> bool:
+    """JSON equality that tells the types apart: 1, 1.0 and true differ.
+
+    A derived iterator yields rows of ints; the stored rows are compared
+    with `==` and then given one type pass over all their cells, and so is
+    a derived list of ints, with no Python call per item.
+    """
     if isinstance(derived, Iterator):
-        return isinstance(stored, list) and all(
-            starmap(eq, zip_longest(stored, derived, fillvalue=_END))
+        return (
+            isinstance(stored, list)
+            and all(starmap(eq, zip_longest(stored, derived, fillvalue=_END)))
+            and _types(chain.from_iterable(stored)) <= {int}
         )
+    if type(stored) is not type(derived):
+        return False
+    if type(derived) is dict:
+        return stored.keys() == derived.keys() and all(
+            map(_same, map(stored.__getitem__, derived), derived.values())
+        )
+    if type(derived) is list:
+        if _types(derived) <= {int}:
+            return stored == derived and _types(stored) <= {int}
+        return len(stored) == len(derived) and all(map(_same, stored, derived))
     return stored == derived
 
 
@@ -389,11 +408,13 @@ def _first_difference(
         if isinstance(stored, dict) and isinstance(derived, dict):
             if stored.keys() != derived.keys():
                 return path, stored, derived
-            key = next(key for key in derived if stored[key] != derived[key])
+            key = next(k for k in derived if not _same(stored[k], derived[k]))
         elif isinstance(stored, list) and isinstance(derived, list):
             if len(stored) != len(derived):
                 return path, stored, derived
-            key = next(i for i, (a, b) in enumerate(zip(stored, derived)) if a != b)
+            key = next(
+                i for i, pair in enumerate(zip(stored, derived)) if not _same(*pair)
+            )
         else:
             return path, stored, derived
         path, stored, derived = f"{path}.{key}", stored[key], derived[key]
@@ -541,17 +562,21 @@ def _json(value: object, pad: str) -> str:
     raise TypeError(f"report JSON cannot hold a {kind.__name__}")
 
 
-def _grid(corner: str, col_labels: list[str], row_labels: list[str], rows: list[list[object]]) -> list[str]:
-    table = [[corner, *col_labels]]
-    for label, row in zip(row_labels, rows):
-        table.append([label, *(str(v) for v in row)])
-    widths = [max(len(line[c]) for line in table) for c in range(len(table[0]))]
-    lines = []
-    for line in table:
-        first = line[0].ljust(widths[0])
-        rest = "  ".join(v.rjust(w) for v, w in zip(line[1:], widths[1:]))
-        lines.append(f"  {first}  {rest}".rstrip())
-    return lines
+def _grid(
+    corner: str,
+    col_labels: list[str],
+    row_labels: list[str],
+    columns: Iterable[Iterable[object]],
+) -> list[str]:
+    """Lay out a table given column by column: the row labels left-aligned,
+    each value column right-aligned to its widest entry, two spaces apart."""
+    first = [corner, *row_labels]
+    padded = [map(str.ljust, first, repeat(max(map(len, first))))]
+    for label, column in zip(col_labels, columns):
+        column = [label, *map(str, column)]
+        padded.append(map(str.rjust, column, repeat(max(map(len, column)))))
+    # the empty first field gives every line its two-space indent
+    return list(map("  ".join, zip(repeat(""), *padded)))
 
 
 def _frac_text(value: Fraction) -> str:
@@ -562,8 +587,8 @@ def render_text(report: AnalysisReport) -> str:
     """Human-oriented rendering with the two matrices laid out as tables."""
     gfm = report.frequency
     cm = report.confusion
-    class_labels = [f"Y{j}" for j in range(1, report.n_classes + 1)]
-    granule_labels = [f"X{i}" for i in range(1, report.n_granules + 1)]
+    class_labels = list(map("Y{}".format, range(1, report.n_classes + 1)))
+    granule_labels = list(map("X{}".format, range(1, report.n_granules + 1)))
 
     lines: list[str] = []
     lines.append(f"Input: {report.source}")
@@ -576,20 +601,18 @@ def render_text(report: AnalysisReport) -> str:
         f"   decision: {report.decision_name}"
     )
     lines.append("")
-    lines.append("Granules")
-    for label, block in zip(granule_labels, report.granules.blocks):
-        members = ", ".join(str(x) for x in sorted(block))
-        lines.append(f"  {label} = {{{members}}}")
-    lines.append("Decision classes")
-    for label, block in zip(class_labels, report.decisions.blocks):
-        members = ", ".join(str(x) for x in sorted(block))
-        lines.append(f"  {label} = {{{members}}}")
+    for title, labels, partition in (
+        ("Granules", granule_labels, report.granules),
+        ("Decision classes", class_labels, report.decisions),
+    ):
+        lines.append(title)
+        members = map(", ".join, map(map, repeat(str), map(sorted, partition.blocks)))
+        lines += map("  {} = {{{}}}".format, labels, members)
     lines.append("")
 
     lines.append("Granule frequency matrix")
-    gfm_rows = [list(row) + [size] for row, size in zip(gfm.cells, gfm.granule_sizes)]
-    gfm_rows.append(list(gfm.class_sizes) + [gfm.total])
-    lines += _grid("", class_labels + ["size"], granule_labels + ["size"], gfm_rows)
+    gfm_columns = [*zip(*gfm.cells, gfm.class_sizes), (*gfm.granule_sizes, gfm.total)]
+    lines += _grid("", class_labels + ["size"], granule_labels + ["size"], gfm_columns)
     lines.append("")
 
     if report.classifier_kind == "mrc":
@@ -598,11 +621,8 @@ def render_text(report: AnalysisReport) -> str:
         )
     else:
         lines.append("Classifier: custom mapping")
-    pairs = ", ".join(
-        f"X{i} -> Y{cls}"
-        for i, cls in enumerate(report.classifier.assignment, start=1)
-    )
-    lines.append(f"  assignment: {pairs}")
+    pairs = map("{} -> Y{}".format, granule_labels, report.classifier.assignment)
+    lines.append(f"  assignment: {', '.join(pairs)}")
     lines.append(
         "  overlap rule: "
         + ("satisfied" if report.validation.satisfies_rule else "violated")
@@ -611,9 +631,8 @@ def render_text(report: AnalysisReport) -> str:
     lines.append("")
 
     lines.append("Confusion matrix (rows: predicted, columns: true)")
-    cm_rows = [list(row) + [s] for row, s in zip(cm.cells, cm.row_sums)]
-    cm_rows.append(list(cm.col_sums) + [cm.total])
-    lines += _grid("", class_labels + ["sum"], class_labels + ["sum"], cm_rows)
+    cm_columns = [*zip(*cm.cells, cm.col_sums), (*cm.row_sums, cm.total)]
+    lines += _grid("", class_labels + ["sum"], class_labels + ["sum"], cm_columns)
     lines.append("")
 
     lines.append("Quality indices")
@@ -636,7 +655,7 @@ def render_text(report: AnalysisReport) -> str:
         "class",
         ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"],
         class_labels,
-        index_rows,
+        zip(*index_rows),
     )
     lines.append("")
 
@@ -662,7 +681,7 @@ def render_text(report: AnalysisReport) -> str:
         "class",
         ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"],
         class_labels,
-        bound_rows,
+        zip(*bound_rows),
     )
     lines.append("")
 
@@ -670,22 +689,21 @@ def render_text(report: AnalysisReport) -> str:
     if not thm.applicable:
         lines.append("Theorem checks: not applicable (overlap rule violated)")
     else:
+        passed = attrgetter("passed")
+        failed_bounds = list(filterfalse(passed, thm.bound_checks))
+        failed_lemmas = list(filterfalse(passed, thm.lemma_checks))
         n_bounds = len(thm.bound_checks)
         n_lemmas = len(thm.lemma_checks)
-        ok_bounds = sum(1 for c in thm.bound_checks if c.passed)
-        ok_lemmas = sum(1 for c in thm.lemma_checks if c.passed)
-        verdict = "PASS" if thm.overall_pass else "FAIL"
+        verdict = "FAIL" if failed_bounds or failed_lemmas else "PASS"
         lines.append(
-            f"Theorem checks: {ok_bounds}/{n_bounds} bound chains, "
-            f"{ok_lemmas}/{n_lemmas} lemma checks -> {verdict}"
+            f"Theorem checks: {n_bounds - len(failed_bounds)}/{n_bounds} bound chains, "
+            f"{n_lemmas - len(failed_lemmas)}/{n_lemmas} lemma checks -> {verdict}"
         )
-        for c in thm.bound_checks:
-            if not c.passed:
-                chain = " <= ".join(str(v) for v in c.chain)
-                lines.append(
-                    f"  FAILED theorem {c.theorem}, class {c.class_index}: {chain}"
-                )
-        for c in thm.lemma_checks:
-            if not c.passed:
-                lines.append(f"  FAILED lemma part {c.part}, subject {c.subject}")
+        for c in failed_bounds:
+            chain = " <= ".join(map(str, c.chain))
+            lines.append(
+                f"  FAILED theorem {c.theorem}, class {c.class_index}: {chain}"
+            )
+        for c in failed_lemmas:
+            lines.append(f"  FAILED lemma part {c.part}, subject {c.subject}")
     return "\n".join(lines) + "\n"

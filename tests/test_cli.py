@@ -54,6 +54,7 @@ class TestIngestCsv:
             (["a,d"], "no data rows"),
             (["a,d", "x,y", "only"], "row 2 has 1 cells, expected 2"),
             (["a,d", "x,"], "row 1, column 'd' is empty"),
+            (["a,b,d", "x,y,z", "x,,"], "row 2, column 'b' is empty"),
         ],
     )
     def test_malformed_tables(self, tmp_path, lines, message):
@@ -168,6 +169,15 @@ class TestAnalyzeCommand:
         code, _, err = run_cli(capsys, "analyze", "--input", str(path))
         assert code == 1
         assert "row 2" in err
+
+    def test_field_the_csv_reader_refuses_exits_one(self, capsys, tmp_path):
+        # csv.reader refuses a field over its limit of 131,072 characters
+        path = write_csv(tmp_path, "long.csv", ["a,d", "x,y", "x" * 131_073 + ",y"])
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"roughcm: error: {path}: line 3: field larger than field limit (131072)\n"
+        )
 
 
 class TestClassifierFiles:

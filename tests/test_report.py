@@ -36,6 +36,7 @@ from roughcm import (
     validate_overlap,
     verify_theorems,
 )
+import roughcm.report as report_module
 from roughcm.report import _json
 
 from conftest import build_system
@@ -260,18 +261,36 @@ def _meeting_classifier(seed: int):
     return build
 
 
+def _row_grid(corner, col_labels, row_labels, rows):
+    """Row-by-row table layout, kept here as an independent reference for
+    render_text: widths per column over every row, labels left-aligned."""
+    table = [[corner, *col_labels]]
+    for label, row in zip(row_labels, rows):
+        table.append([label, *(str(v) for v in row)])
+    widths = [max(len(line[c]) for line in table) for c in range(len(table[0]))]
+    lines = []
+    for line in table:
+        first = line[0].ljust(widths[0])
+        rest = "  ".join(v.rjust(w) for v, w in zip(line[1:], widths[1:]))
+        lines.append(f"  {first}  {rest}".rstrip())
+    return lines
+
+
+_MEDIUM = pytest.mark.parametrize(
+    "n_values,classifier,granules,row_maximal",
+    [
+        (4, None, range(1, 65), True),
+        (30, _meeting_classifier(7), range(2_500, 3_001), False),
+    ],
+    ids=["coarse-mrc", "fine-mapping"],
+)
+
+
 class TestMediumReports:
     """Reports far larger than the worked example, one m << n and one m ~ n;
     the second classifier is not row-maximal, so its sharp bounds are null."""
 
-    @pytest.mark.parametrize(
-        "n_values,classifier,granules,row_maximal",
-        [
-            (4, None, range(1, 65), True),
-            (30, _meeting_classifier(7), range(2_500, 3_001), False),
-        ],
-        ids=["coarse-mrc", "fine-mapping"],
-    )
+    @_MEDIUM
     def test_json_matches_json_dumps_and_round_trips(
         self, n_values, classifier, granules, row_maximal
     ):
@@ -283,6 +302,39 @@ class TestMediumReports:
         text = report_to_json(report)
         assert text == json.dumps(report_to_dict(report), indent=2) + "\n"
         assert report_to_json(report_from_dict(json.loads(text))) == text
+
+    @_MEDIUM
+    def test_text_layout_matches_a_row_by_row_grid(
+        self, monkeypatch, n_values, classifier, granules, row_maximal
+    ):
+        report = analyze_decision_system(
+            _medium_table(n_values, seed=n_values), classifier=classifier
+        )
+        text = render_text(report)
+        gfm, cm = report.frequency, report.confusion
+        ys = [f"Y{j}" for j in range(1, gfm.k + 1)]
+        xs = [f"X{i}" for i in range(1, gfm.m + 1)]
+        gfm_rows = [[*row, size] for row, size in zip(gfm.cells, gfm.granule_sizes)]
+        gfm_rows.append([*gfm.class_sizes, gfm.total])
+        cm_rows = [[*row, size] for row, size in zip(cm.cells, cm.row_sums)]
+        cm_rows.append([*cm.col_sums, cm.total])
+        tables = {
+            "Granule frequency matrix": _row_grid(
+                "", ys + ["size"], xs + ["size"], gfm_rows
+            ),
+            "Confusion matrix (rows: predicted, columns: true)": _row_grid(
+                "", ys + ["sum"], ys + ["sum"], cm_rows
+            ),
+        }
+        for title, lines in tables.items():
+            assert text.split(f"\n{title}\n")[1].split("\n\n")[0] == "\n".join(lines)
+
+        # every table, the index and bound tables too, laid out row by row
+        def row_by_row(corner, col_labels, row_labels, columns):
+            return _row_grid(corner, col_labels, row_labels, zip(*columns))
+
+        monkeypatch.setattr(report_module, "_grid", row_by_row)
+        assert render_text(report) == text
 
 
 class TestRenderText:
@@ -494,6 +546,30 @@ class TestTamperedCopies:
                     _put([2], "classifier", "violations"),
                 ),
                 "classifier.satisfies_overlap",
+            ),
+            # equal under ==, but a save would write back another JSON type
+            (_put(6.0, "input", "objects"), "input.objects is 6.0"),
+            (_put(6.0, "granule_matrix", "total"), "granule_matrix.total is 6.0"),
+            (
+                _put(2.0, "granule_matrix", "granule_sizes", 0),
+                "granule_matrix.granule_sizes.0 is 2.0",
+            ),
+            (_put(1, "classifier", "row_maximal"), "classifier.row_maximal is 1,"),
+            (
+                _put(1, "theorems", "bound_checks", 0, "passed"),
+                "theorems.bound_checks.0.passed is 1,",
+            ),
+            (
+                _put(1.0, "granule_matrix", "cells", 0, 0),
+                "granule_matrix.cells.0.0 is 1.0",
+            ),
+            (
+                _put(3.0, "confusion_matrix", "cells", 0, 0),
+                "confusion_matrix.cells.0.0 is 3.0",
+            ),
+            (
+                _put(True, "granule_matrix", "cells", 0, 1),
+                "granule_matrix.cells.0.1 is True",
             ),
         ],
     )

@@ -100,28 +100,31 @@ def validate_overlap(
 
 def maximal_row_classifier(
     gfm: GranuleFrequencyMatrix,
-    tie_break: TieBreak = TieBreak.LOWEST,
+    tie_break: TieBreak | str = TieBreak.LOWEST,
     seed: int = 0,
 ) -> RoughClassifier:
     """Assign each granule a class with the maximal row count.
 
-    Ties are resolved by `tie_break`: the lowest tied class index, the
-    highest, or a seeded uniform draw. The random policy consumes one draw
-    per row from random.Random(seed), so a (matrix, policy, seed) triple
-    always produces the same classifier.
+    Ties are resolved by `tie_break`, a TieBreak or its value string: the
+    lowest tied class index, the highest, or a seeded uniform draw. The
+    random policy consumes one draw per row from random.Random(seed), so a
+    (matrix, policy, seed) triple always produces the same classifier.
+    Any other `tie_break` raises ValueError.
     """
-    rng = random.Random(seed)
-    assignment = []
-    for row in gfm.cells:
-        top = max(row)
-        candidates = [j for j, count in enumerate(row, start=1) if count == top]
-        if tie_break is TieBreak.LOWEST:
-            assignment.append(candidates[0])
-        elif tie_break is TieBreak.HIGHEST:
-            assignment.append(candidates[-1])
-        else:
+    tie_break = TieBreak(tie_break)
+    k = gfm.k
+    if tie_break is TieBreak.LOWEST:
+        assignment = [row.index(max(row)) + 1 for row in gfm.cells]
+    elif tie_break is TieBreak.HIGHEST:
+        assignment = [k - row[::-1].index(max(row)) for row in gfm.cells]
+    else:
+        rng = random.Random(seed)
+        assignment = []
+        for row in gfm.cells:
+            top = max(row)
+            candidates = [j for j, count in enumerate(row, start=1) if count == top]
             assignment.append(rng.choice(candidates))
-    return RoughClassifier(tuple(assignment), gfm.k)
+    return RoughClassifier(tuple(assignment), k)
 
 
 def is_row_maximal(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> bool:

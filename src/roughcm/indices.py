@@ -143,22 +143,22 @@ def alpha_hat_per_class(cm: RoughConfusionMatrix) -> tuple[Fraction, ...]:
     sizes, which are at least 1.
     """
     out = []
-    for j in range(cm.k):
-        denominator = cm.row_sums[j] + cm.col_sums[j] - cm.cells[j][j]
+    margins = zip(cm.diagonal, cm.row_sums, cm.col_sums)
+    for j, (diag, row_sum, col_sum) in enumerate(margins, start=1):
+        denominator = row_sum + col_sum - diag
         if denominator == 0:
-            raise UndefinedClassError(j + 1)
-        out.append(Fraction(cm.cells[j][j], denominator))
+            raise UndefinedClassError(j)
+        out.append(Fraction(diag, denominator))
     return tuple(out)
 
 
 def alpha_hat_overall(cm: RoughConfusionMatrix) -> Fraction:
     """Aggregate accuracy estimate: total diagonal over total row-plus-column
-    mass minus the diagonal. Equals alpha_from_gamma(gamma_hat(cm)) exactly."""
+    mass minus the diagonal. Both margins sum to the total, so that mass is
+    2 * total - diagonal, and the result equals
+    alpha_from_gamma(gamma_hat(cm)) exactly."""
     diag = sum(cm.diagonal)
-    denominator = sum(
-        cm.row_sums[j] + cm.col_sums[j] - cm.cells[j][j] for j in range(cm.k)
-    )
-    return Fraction(diag, denominator)
+    return Fraction(diag, 2 * cm.total - diag)
 
 
 def alpha_from_gamma(quality: Fraction | int) -> Fraction:
@@ -188,9 +188,8 @@ class ClassBounds:
     clamped: bool
 
     def __post_init__(self) -> None:
-        values = [self.class_size, self.nl_star, self.nl_star2, self.nu_star, self.nu_star2]
-        values += [v for v in (self.nl_m, self.nu_m) if v is not None]
-        if any(v < 0 for v in values):
+        star = (self.nl_star, self.nl_star2, self.nu_star, self.nu_star2)
+        if min(self.class_size, *star, self.nl_m or 0, self.nu_m or 0) < 0:
             raise ValueError("estimators are clamped at zero, negatives are invalid")
 
 
@@ -226,30 +225,29 @@ def confusion_bounds(
     The sharper nl_m / nu_m estimators are computed only when `is_mrc`
     says the classifier is row-maximal. Negative raw values (possible only
     without the overlap rule) are clamped to zero and flagged per class.
+    Each row and column of the matrix is read once.
     """
-    rows, k = cm.cells, cm.k
-    row_sums, col_sums = cm.row_sums, cm.col_sums
     classes = []
-    for j in range(k):
-        diag = rows[j][j]
-        row_off = row_sums[j] - diag
-        col_off = col_sums[j] - diag
-        nl_star = diag
+    for j, (row, col) in enumerate(zip(cm.cells, zip(*cm.cells))):
+        diag, row_sum, col_sum = row[j], sum(row), sum(col)
+        row_off = row_sum - diag
+        col_off = col_sum - diag
         raw_star2 = diag - indicator(row_off)
         nu_star = diag + row_off + col_off
-        nu_star2 = nu_star + sum(indicator(rows[i][j]) for i in range(k) if i != j)
+        # non-zero cells of column j, less the diagonal one
+        nu_star2 = nu_star + len(col) - col.count(0) - indicator(diag)
         clamped = raw_star2 < 0
         nl_star2 = max(0, raw_star2)
         nl_m = nu_m = None
         if is_mrc:
-            raw_m = diag - max(rows[j][t] for t in range(k) if t != j)
+            raw_m = diag - max(row[:j] + row[j + 1 :])
             clamped = clamped or raw_m < 0
             nl_m = max(0, raw_m)
             nu_m = diag + row_off + 2 * col_off
         classes.append(
             ClassBounds(
-                class_size=col_sums[j],
-                nl_star=nl_star,
+                class_size=col_sum,
+                nl_star=diag,
                 nl_star2=nl_star2,
                 nu_star=nu_star,
                 nu_star2=nu_star2,

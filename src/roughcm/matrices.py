@@ -88,16 +88,16 @@ class RoughConfusionMatrix:
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        cells = tuple(tuple(row) for row in self.cells)
+        cells = tuple(map(tuple, self.cells))
         object.__setattr__(self, "cells", cells)
         k = len(cells)
         if k < 2:
             raise ShapeMismatchError("a confusion matrix needs at least two classes")
-        if any(len(row) != k for row in cells):
+        if set(map(len, cells)) != {k}:
             raise ShapeMismatchError("confusion matrix must be square")
-        if any(c < 0 for row in cells for c in row):
+        if min(map(min, cells)) < 0:
             raise ValueError("counts must be non-negative")
-        if all(c == 0 for row in cells for c in row):
+        if not any(map(any, cells)):
             raise ValueError("a confusion matrix must count at least one object")
 
     @property
@@ -106,11 +106,11 @@ class RoughConfusionMatrix:
 
     @property
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row) for row in self.cells)
+        return tuple(map(sum, self.cells))
 
     @property
     def col_sums(self) -> tuple[int, ...]:
-        return tuple(sum(row[j] for row in self.cells) for j in range(self.k))
+        return tuple(map(sum, zip(*self.cells)))
 
     @property
     def total(self) -> int:
@@ -160,19 +160,26 @@ def predictor_set(
     The predictor set is this classifier's stand-in for the class: every
     object inside it receives that prediction.
     """
+    picked = _granules_by_class(f, granules)
+    if not 1 <= class_index <= f.n_classes:
+        raise IndexError(f"class index {class_index} out of range 1..{f.n_classes}")
+    return frozenset().union(*picked[class_index - 1])
+
+
+def _granules_by_class(
+    f: RoughClassifier, granules: Partition
+) -> list[list[ObjectSet]]:
+    """The granules `f` maps to each class, from one grouping pass; the
+    union of entry j - 1 is the predictor set of class j."""
     if len(f.assignment) != len(granules.blocks):
         raise ShapeMismatchError(
             f"classifier assigns {len(f.assignment)} granules, "
             f"partition has {len(granules.blocks)}"
         )
-    if not 1 <= class_index <= f.n_classes:
-        raise IndexError(f"class index {class_index} out of range 1..{f.n_classes}")
-    picked = [
-        block
-        for block, cls in zip(granules.blocks, f.assignment)
-        if cls == class_index
-    ]
-    return frozenset().union(*picked)
+    picked: list[list[ObjectSet]] = [[] for _ in range(f.n_classes)]
+    for block, cls in zip(granules.blocks, f.assignment):
+        picked[cls - 1].append(block)
+    return picked
 
 
 def confusion_matrix(

@@ -6,17 +6,23 @@ the partition's object-to-block map, instead of per block, the best
 classifier is found by enumerating every assignment instead of taking row
 maxima, and the bound theorems are verified inequality by inequality on
 randomly generated decision systems. The generator is fully deterministic
-given its seed (Mersenne Twister via random.Random; the algorithm id is
-recorded in fuzz summaries so runs can be replayed).
+given its seed: every draw is the one random.Random's randrange or choice
+makes from that seed (Mersenne Twister; the algorithm id, GENERATOR_ID,
+is recorded in fuzz summaries so runs can be replayed). The generator and
+the random classifier take those draws through _below, which repeats the
+library's bit-level rejection loop without its call layers;
+tests/test_fuzz_stream.py holds _below to randrange and choice draw for
+draw and pins the trial stream in a golden file.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le
 
 from .classifiers import (
     RoughClassifier,
@@ -39,9 +45,9 @@ from .indices import BoundsReport, confusion_bounds
 from .matrices import (
     GranuleFrequencyMatrix,
     RoughConfusionMatrix,
+    _granules_by_class,
     confusion_matrix,
     granule_frequency_matrix,
-    predictor_set,
 )
 
 __all__ = [
@@ -100,6 +106,17 @@ class GeneratorConfig:
             raise GeneratorConfigError("seed must be an unsigned 64-bit integer")
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """random.Random(s).randrange(n), and the index choice draws for a
+    length-n sequence: n.bit_length() random bits, redrawn until below n,
+    so n = 1 still consumes bits."""
+    width = n.bit_length()
+    r = getrandbits(width)
+    while r >= n:
+        r = getrandbits(width)
+    return r
+
+
 def random_decision_system(config: GeneratorConfig) -> DecisionSystem:
     """Draw a decision system uniformly and deterministically from the seed.
 
@@ -107,18 +124,20 @@ def random_decision_system(config: GeneratorConfig) -> DecisionSystem:
     decision column is redrawn in full until at least two distinct values
     occur, so the result always has k >= 2 decision classes.
     """
-    rng = random.Random(config.seed)
+    bits = random.Random(config.seed).getrandbits
     ids = tuple(range(1, config.n_objects + 1))
+    n_values, n_classes = config.values_per_attribute, config.n_decision_values
+    value_tokens = [f"v{v}" for v in range(1, n_values + 1)]
     conditions = []
     for a in range(1, config.n_attributes + 1):
-        values = {
-            x: f"v{rng.randrange(config.values_per_attribute) + 1}" for x in ids
-        }
-        conditions.append(Attribute(f"a{a}", values))
+        column = [value_tokens[_below(bits, n_values)] for _ in ids]
+        conditions.append(Attribute(f"a{a}", dict(zip(ids, column))))
     while True:
-        decided = {x: f"c{rng.randrange(config.n_decision_values) + 1}" for x in ids}
-        if len(set(decided.values())) >= 2:
+        drawn = [_below(bits, n_classes) for _ in ids]
+        if len(set(drawn)) >= 2:
             break
+    class_tokens = [f"c{c}" for c in range(1, n_classes + 1)]
+    decided = dict(zip(ids, map(class_tokens.__getitem__, drawn)))
     return DecisionSystem(ids, tuple(conditions), Attribute("d", decided))
 
 
@@ -128,11 +147,12 @@ def random_overlap_classifier(gfm: GranuleFrequencyMatrix, seed: int) -> RoughCl
     The result always satisfies the overlap rule; with a fixed seed it is
     deterministic.
     """
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
+    classes = range(1, gfm.k + 1)
     assignment = []
     for row in gfm.cells:
-        candidates = [j for j, count in enumerate(row, start=1) if count > 0]
-        assignment.append(rng.choice(candidates))
+        candidates = list(itertools.compress(classes, row))
+        assignment.append(candidates[_below(bits, len(candidates))])
     return RoughClassifier(tuple(assignment), gfm.k)
 
 
@@ -194,7 +214,7 @@ class BoundCheck:
 
     @property
     def passed(self) -> bool:
-        return all(a <= b for a, b in zip(self.chain, self.chain[1:]))
+        return all(map(le, self.chain, self.chain[1:]))
 
 
 @dataclass(frozen=True)
@@ -260,18 +280,14 @@ def verify_theorems(
     true_nu = [len(oracle_upper(granules, cls)) for cls in decisions.blocks]
 
     bound_checks = []
-    for j, cb in enumerate(bounds.classes):
-        nl, nu = len(true_lower[j]), true_nu[j]
-        chains = {
-            1: (nl, cb.nl_star2, cb.nl_star, cb.class_size),
-            2: (cb.class_size, cb.nu_star, cb.nu_star2, nu),
-        }
+    truths = zip(bounds.classes, map(len, true_lower), true_nu)
+    for j, (cb, nl, nu) in enumerate(truths, start=1):
+        n_j = cb.class_size
+        bound_checks.append(BoundCheck(1, j, (nl, cb.nl_star2, cb.nl_star, n_j)))
+        bound_checks.append(BoundCheck(2, j, (n_j, cb.nu_star, cb.nu_star2, nu)))
         if bounds.mrc_classifier:
-            chains[3] = (nl, cb.nl_m, cb.nl_star2)
-            chains[4] = (cb.nl_star2, cb.nu_m, nu)
-        bound_checks += [
-            BoundCheck(theorem, j + 1, chain) for theorem, chain in chains.items()
-        ]
+            bound_checks.append(BoundCheck(3, j, (nl, cb.nl_m, cb.nl_star2)))
+            bound_checks.append(BoundCheck(4, j, (cb.nl_star2, cb.nu_m, nu)))
 
     # a granule lies inside class j exactly when its row holds its size at j
     lemma_checks = [
@@ -281,12 +297,13 @@ def verify_theorems(
         )
         if size in row
     ]
-    for j, low in enumerate(true_lower, start=1):
-        lemma_checks.append(LemmaCheck(2, j, low <= predictor_set(f, j, granules)))
-    for i in range(cm.k):
-        if cm.cells[i][i] == 0:
-            zero_row = all(value == 0 for value in cm.cells[i])
-            lemma_checks.append(LemmaCheck(3, i + 1, zero_row))
+    # predictor sets are built one at a time, so only one is held at once
+    picked = _granules_by_class(f, granules)
+    for j, (low, blocks) in enumerate(zip(true_lower, picked), start=1):
+        lemma_checks.append(LemmaCheck(2, j, low <= frozenset().union(*blocks)))
+    for i, row in enumerate(cm.cells):
+        if row[i] == 0:
+            lemma_checks.append(LemmaCheck(3, i + 1, not any(row)))
 
     ctx.setdefault("row_maximal", "yes" if bounds.mrc_classifier else "no")
     return TheoremReport(True, tuple(bound_checks), tuple(lemma_checks), ctx)

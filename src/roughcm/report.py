@@ -153,7 +153,7 @@ def analyze_decision_system(
     classifier: (
         RoughClassifier | Callable[[GranuleFrequencyMatrix], RoughClassifier] | None
     ) = None,
-    tie_break: TieBreak = TieBreak.LOWEST,
+    tie_break: TieBreak | str = TieBreak.LOWEST,
     seed: int = 0,
     source: str = "<memory>",
 ) -> AnalysisReport:
@@ -161,11 +161,14 @@ def analyze_decision_system(
 
     Every stage is built once and handed on, the verifier included. With
     `classifier=None` a maximal row classifier is built from the frequency
-    matrix using `tie_break` and `seed`. An explicit classifier, or a
-    function building one from the frequency matrix, must satisfy the
-    overlap rule; OverlapViolationError names the offending granules
-    otherwise. `attributes=None` uses every condition attribute.
+    matrix using `tie_break` (a TieBreak or its value string; anything
+    else raises ValueError before any stage is built) and `seed`. An
+    explicit classifier, or a function building one from the frequency
+    matrix, must satisfy the overlap rule; OverlapViolationError names the
+    offending granules otherwise. `attributes=None` uses every condition
+    attribute.
     """
+    tie_break = TieBreak(tie_break)
     names = tuple(attributes) if attributes is not None else ds.condition_names
     granules = partition_by_attributes(ds, names)
     selected = tuple(n for n in ds.condition_names if n in set(names))

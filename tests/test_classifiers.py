@@ -106,6 +106,38 @@ class TestMaximalRowClassifier:
             f = maximal_row_classifier(tv_gfm, policy, seed=3)
             assert success_ratio(confusion_matrix(tv_gfm, f)) == Fraction(5, 6)
 
+    def test_a_policy_value_string_selects_that_policy(self):
+        _, _, gfm = partitions_from_counts([[1, 1], [2, 2]])
+        for policy in TieBreak:
+            for seed in (0, 1, 5):
+                by_value = maximal_row_classifier(gfm, policy.value, seed)
+                assert by_value == maximal_row_classifier(gfm, policy, seed)
+        assert maximal_row_classifier(gfm, "lowest", seed=0).assignment == (1, 1)
+        assert maximal_row_classifier(gfm, "highest", seed=0).assignment == (2, 2)
+
+    @pytest.mark.parametrize("tie_break", ["LOWEST", "first", "", None, 0])
+    def test_an_unknown_tie_break_is_rejected(self, tie_break):
+        _, _, gfm = partitions_from_counts([[1, 1], [2, 2]])
+        with pytest.raises(ValueError, match="is not a valid TieBreak"):
+            maximal_row_classifier(gfm, tie_break)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_policy_picks_its_tied_maximum(self, seed):
+        """Reference: the tied maxima listed per row, as the policies define them."""
+        *_, gfm = _seeded_instance(seed)
+        tied = [
+            [j for j, count in enumerate(row, start=1) if count == max(row)]
+            for row in gfm.cells
+        ]
+        draws = random.Random(seed)
+        expected = {
+            TieBreak.LOWEST: tuple(t[0] for t in tied),
+            TieBreak.HIGHEST: tuple(t[-1] for t in tied),
+            TieBreak.RANDOM: tuple(draws.choice(t) for t in tied),
+        }
+        for policy, assignment in expected.items():
+            assert maximal_row_classifier(gfm, policy, seed).assignment == assignment
+
 
 class TestRowMaximality:
     def test_worked_example(self, tv_gfm):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from roughcm import (
@@ -221,6 +221,85 @@ class TestConfusionBounds:
             for cb in report.classes:
                 assert cb.nl_star2 <= cb.nl_star <= cb.class_size
                 assert cb.class_size <= cb.nu_star <= cb.nu_star2
+
+
+def _reference_bounds(cm, validation, is_mrc):
+    """confusion_bounds cell by cell, straight from the module docstring."""
+    rows, k = cm.cells, cm.k
+    row_sums = [sum(rows[j]) for j in range(k)]
+    col_sums = [sum(rows[i][j] for i in range(k)) for j in range(k)]
+    classes = []
+    for j in range(k):
+        diag = rows[j][j]
+        row_off = row_sums[j] - diag
+        col_off = col_sums[j] - diag
+        raw_star2 = diag - indicator(row_off)
+        nu_star = diag + row_off + col_off
+        nu_star2 = nu_star + sum(indicator(rows[i][j]) for i in range(k) if i != j)
+        clamped = raw_star2 < 0
+        nl_m = nu_m = None
+        if is_mrc:
+            raw_m = diag - max(rows[j][t] for t in range(k) if t != j)
+            clamped = clamped or raw_m < 0
+            nl_m = max(0, raw_m)
+            nu_m = diag + row_off + 2 * col_off
+        nl_star2 = max(0, raw_star2)
+        classes.append(
+            ClassBounds(col_sums[j], diag, nl_star2, nu_star, nu_star2, nl_m, nu_m, clamped)
+        )
+    return BoundsReport(tuple(classes), validation.satisfies_rule, is_mrc)
+
+
+def _reference_alpha(cm):
+    rows, k = cm.cells, cm.k
+    margins = [
+        sum(rows[j]) + sum(rows[i][j] for i in range(k)) - rows[j][j] for j in range(k)
+    ]
+    per_class = tuple(Fraction(rows[j][j], margins[j]) for j in range(k) if margins[j])
+    overall = Fraction(sum(rows[j][j] for j in range(k)), sum(margins))
+    return per_class, overall
+
+
+square_counts = st.integers(2, 8).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 4) | st.just(0), min_size=k, max_size=k),
+        min_size=k,
+        max_size=k,
+    )
+).filter(lambda rows: any(map(any, rows)))
+
+# zero diagonals with off-diagonal mass: nl** and nl^m go negative and clamp
+CLAMPING = [[0, 2, 1], [3, 0, 0], [0, 1, 0]]
+
+
+class TestConfusionBoundsReference:
+    @given(rows=square_counts, is_mrc=st.booleans(), validated=st.booleans())
+    @example(rows=CLAMPING, is_mrc=True, validated=False)
+    @example(rows=CLAMPING, is_mrc=False, validated=False)
+    @example(rows=[[0, 0], [0, 5]], is_mrc=True, validated=True)
+    def test_matches_the_cellwise_formulas(self, rows, is_mrc, validated):
+        cm = RoughConfusionMatrix(rows)
+        validation = ValidationReport(() if validated else (1,))
+        expected = _reference_bounds(cm, validation, is_mrc)
+        assert confusion_bounds(cm, validation, is_mrc) == expected
+
+    def test_the_clamping_example_clamps(self):
+        cm = RoughConfusionMatrix(CLAMPING)
+        report = confusion_bounds(cm, ValidationReport((1,)), is_mrc=True)
+        assert [cb.clamped for cb in report.classes] == [True, True, True]
+        assert [cb.nl_star2 for cb in report.classes] == [0, 0, 0]
+        assert [cb.nl_m for cb in report.classes] == [0, 0, 0]
+
+    @given(rows=square_counts)
+    def test_alpha_estimates_match_the_cellwise_formulas(self, rows):
+        cm = RoughConfusionMatrix(rows)
+        per_class, overall = _reference_alpha(cm)
+        assert alpha_hat_overall(cm) == overall
+        if len(per_class) == cm.k:
+            assert alpha_hat_per_class(cm) == per_class
+        else:
+            with pytest.raises(UndefinedClassError):
+                alpha_hat_per_class(cm)
 
 
 class TestBoundsReportInvariants:

@@ -145,6 +145,21 @@ class TestAnalyze:
         assert report.classifier.assignment == (2, 2, 2, 1)
         assert report.confusion.cells == ((2, 0), (1, 3))
 
+    def test_tie_break_value_string(self, tv_system):
+        by_value = analyze_decision_system(
+            tv_system, attributes=("Price", "Screen"), tie_break="highest"
+        )
+        by_member = analyze_decision_system(
+            tv_system, attributes=("Price", "Screen"), tie_break=TieBreak.HIGHEST
+        )
+        assert by_value == by_member
+        assert by_value.tie_break == "highest"
+
+    @pytest.mark.parametrize("tie_break", ["HIGHEST", "best", None])
+    def test_an_unknown_tie_break_is_rejected(self, tv_system, tie_break):
+        with pytest.raises(ValueError, match="is not a valid TieBreak"):
+            analyze_decision_system(tv_system, tie_break=tie_break)
+
 
 class TestSerialization:
     def test_dict_layout(self, tv_report):

@@ -93,6 +93,8 @@ class GeneratorConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in (*_CONFIG_RANGES, "seed"):
+            _require_int(name, getattr(self, name))
         for name, (lo, hi) in _CONFIG_RANGES.items():
             value = getattr(self, name)
             if not lo <= value <= hi:
@@ -104,6 +106,13 @@ class GeneratorConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise GeneratorConfigError("seed must be an unsigned 64-bit integer")
+
+
+def _require_int(name: str, value: object) -> None:
+    """Sizes, counts and seeds are ints: a float or a bool is refused here,
+    not deep in the generator."""
+    if type(value) is not int:
+        raise GeneratorConfigError(f"{name} must be an int, got {value!r}")
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -360,6 +369,13 @@ def run_fuzz_trials(
     summary counts checks and failures and keeps the first counterexample,
     if any.
     """
+    for name, value in (
+        ("trials", trials),
+        ("base_seed", base_seed),
+        ("max_objects", max_objects),
+        ("max_classes", max_classes),
+    ):
+        _require_int(name, value)
     if trials < 0:
         raise GeneratorConfigError(f"trials must be non-negative, got {trials}")
     if not 2 <= max_objects <= 100:

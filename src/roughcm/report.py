@@ -7,19 +7,22 @@ Serialization round-trips losslessly through report_to_dict and
 report_from_dict, and identical inputs produce byte-identical JSON:
 report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
 and a newline, with its own writer that handles only the JSON types the
-dict holds. report_from_dict reads only the facts, requires each to have
-its JSON type (ids, classes, chain entries and lemma numbers int; flags
-bool; provenance and context str), and derives the rest, comparing every
-stored copy with its derived value, JSON type included.
+dict holds. report_from_dict reads only the facts (the partitions, the
+assignment and the provenance), requires each to have its JSON type,
+and passes them through the assembly analyze_decision_system uses, the
+theorem verifier included; the stored dict must then equal the rebuilt
+report's dict, JSON type for JSON type. A dict loads exactly when it is
+what saving its report writes.
 """
 
 from __future__ import annotations
 
+import gc
 import reprlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat, starmap, zip_longest
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter, eq, itemgetter
 
@@ -53,7 +56,7 @@ from .matrices import (
     confusion_matrix,
     granule_frequency_matrix,
 )
-from .oracle import BoundCheck, LemmaCheck, TheoremReport, verify_theorems
+from .oracle import TheoremReport, verify_theorems
 
 __all__ = [
     "AnalysisReport",
@@ -175,14 +178,26 @@ def analyze_decision_system(
     decisions = decision_partition(ds)
     gfm = granule_frequency_matrix(granules, decisions)
     if classifier is None:
-        kind = "mrc"
         f = maximal_row_classifier(gfm, tie_break, seed)
-        tb_value: str | None = tie_break.value
-        seed_value: int | None = seed
+        provenance = ("mrc", tie_break.value, seed)
     else:
-        kind = "custom"
         f = classifier(gfm) if callable(classifier) else classifier
-        tb_value = seed_value = None
+        provenance = ("custom", None, None)
+    return _assemble(source, selected, ds.decision_attribute.name, gfm, f, *provenance)
+
+
+def _assemble(
+    source: str,
+    attribute_names: tuple[str, ...],
+    decision_name: str,
+    gfm: GranuleFrequencyMatrix,
+    f: RoughClassifier,
+    kind: str,
+    tie_break: str | None,
+    seed: int | None,
+) -> AnalysisReport:
+    """Build every stage that follows from the frequency matrix, the
+    classifier and the provenance; an analysis and a report load share it."""
     validation = validate_overlap(f, gfm)
     if not validation.satisfies_rule:
         raise OverlapViolationError(validation.violations)
@@ -190,35 +205,28 @@ def analyze_decision_system(
     bounds = confusion_bounds(cm, validation, is_mrc=is_row_maximal(f, gfm))
     context = {
         "classifier": kind,
-        "tie_break": tb_value if tb_value is not None else "-",
-        "seed": str(seed_value) if seed_value is not None else "-",
+        "tie_break": tie_break if tie_break is not None else "-",
+        "seed": str(seed) if seed is not None else "-",
     }
-    theorems = verify_theorems(gfm, f, cm, bounds, context)
     return AnalysisReport(
         source=source,
-        attribute_names=selected,
-        decision_name=ds.decision_attribute.name,
+        attribute_names=attribute_names,
+        decision_name=decision_name,
         frequency=gfm,
         classifier_kind=kind,
-        tie_break=tb_value,
-        seed=seed_value,
+        tie_break=tie_break,
+        seed=seed,
         classifier=f,
         validation=validation,
         confusion=cm,
         approximation=approximation_summary(gfm),
         bounds=bounds,
-        theorems=theorems,
+        theorems=verify_theorems(gfm, f, cm, bounds, context),
     )
 
 
-def _derived(report: AnalysisReport) -> dict[str, object]:
-    """JSON form of every stored value that derives from the report's facts.
-
-    Keys are dotted paths into the report dict: report_to_dict writes these
-    values there, and report_from_dict checks the stored ones against them.
-    The two lists of rows that grow with the granule count are iterators,
-    so the check compares them row by row without building a copy.
-    """
+def report_to_dict(report: AnalysisReport) -> dict[str, object]:
+    """Plain-dict form of the report, ready for json.dumps."""
     gfm = report.frequency
     cm = report.confusion
     index_rows = [
@@ -237,21 +245,33 @@ def _derived(report: AnalysisReport) -> dict[str, object]:
         )
     ]
     return {
-        "input.objects": report.n_objects,
-        "input.granules": report.n_granules,
-        "input.classes": report.n_classes,
-        "granule_matrix.cells": map(list, gfm.cells),
-        "granule_matrix.granule_sizes": list(gfm.granule_sizes),
-        "granule_matrix.class_sizes": list(gfm.class_sizes),
-        "granule_matrix.total": gfm.total,
-        "classifier.assignment": map(
-            list, enumerate(report.classifier.assignment, start=1)
-        ),
-        "classifier.row_maximal": report.row_maximal,
-        "classifier.satisfies_overlap": report.validation.satisfies_rule,
-        "classifier.violations": list(report.validation.violations),
+        "input": {
+            "source": report.source,
+            "objects": report.n_objects,
+            "granules": report.n_granules,
+            "classes": report.n_classes,
+            "attributes": list(report.attribute_names),
+            "decision": report.decision_name,
+        },
+        "granules": [sorted(block) for block in report.granules.blocks],
+        "decision_classes": [sorted(block) for block in report.decisions.blocks],
+        "granule_matrix": {
+            "cells": list(map(list, gfm.cells)),
+            "granule_sizes": list(gfm.granule_sizes),
+            "class_sizes": list(gfm.class_sizes),
+            "total": gfm.total,
+        },
+        "classifier": {
+            "kind": report.classifier_kind,
+            "tie_break": report.tie_break,
+            "seed": report.seed,
+            "assignment": _pairs(report.classifier),
+            "row_maximal": report.row_maximal,
+            "satisfies_overlap": report.validation.satisfies_rule,
+            "violations": list(report.validation.violations),
+        },
         "confusion_matrix": {
-            "cells": [list(row) for row in cm.cells],
+            "cells": list(map(list, cm.cells)),
             "row_sums": list(cm.row_sums),
             "col_sums": list(cm.col_sums),
             "total": cm.total,
@@ -271,55 +291,18 @@ def _derived(report: AnalysisReport) -> dict[str, object]:
                 for j, cb in enumerate(report.bounds.classes, start=1)
             ],
         },
-        "theorems.overall_pass": report.theorems.overall_pass,
-        "theorems.bound_checks": [
-            {
-                "theorem": c.theorem,
-                "class": c.class_index,
-                "chain": list(c.chain),
-                "passed": c.passed,
-            }
-            for c in report.theorems.bound_checks
-        ],
-    }
-
-
-def report_to_dict(report: AnalysisReport) -> dict[str, object]:
-    """Plain-dict form of the report, ready for json.dumps."""
-    derived = _derived(report)
-    return {
-        "input": {
-            "source": report.source,
-            "objects": derived["input.objects"],
-            "granules": derived["input.granules"],
-            "classes": derived["input.classes"],
-            "attributes": list(report.attribute_names),
-            "decision": report.decision_name,
-        },
-        "granules": [sorted(block) for block in report.granules.blocks],
-        "decision_classes": [sorted(block) for block in report.decisions.blocks],
-        "granule_matrix": {
-            "cells": list(derived["granule_matrix.cells"]),
-            "granule_sizes": derived["granule_matrix.granule_sizes"],
-            "class_sizes": derived["granule_matrix.class_sizes"],
-            "total": derived["granule_matrix.total"],
-        },
-        "classifier": {
-            "kind": report.classifier_kind,
-            "tie_break": report.tie_break,
-            "seed": report.seed,
-            "assignment": list(derived["classifier.assignment"]),
-            "row_maximal": derived["classifier.row_maximal"],
-            "satisfies_overlap": derived["classifier.satisfies_overlap"],
-            "violations": derived["classifier.violations"],
-        },
-        "confusion_matrix": derived["confusion_matrix"],
-        "indices": derived["indices"],
-        "bounds": derived["bounds"],
         "theorems": {
             "applicable": report.theorems.applicable,
-            "overall_pass": derived["theorems.overall_pass"],
-            "bound_checks": derived["theorems.bound_checks"],
+            "overall_pass": report.theorems.overall_pass,
+            "bound_checks": [
+                {
+                    "theorem": c.theorem,
+                    "class": c.class_index,
+                    "chain": list(c.chain),
+                    "passed": c.passed,
+                }
+                for c in report.theorems.bound_checks
+            ],
             "lemma_checks": [
                 {"part": c.part, "subject": c.subject, "passed": c.passed}
                 for c in report.theorems.lemma_checks
@@ -332,95 +315,116 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
 def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """Rebuild a report from its dict form; inverse of report_to_dict.
 
-    Only facts are read: the partitions, the classifier assignment, the
-    provenance and the theorem record. Everything else is derived by the
-    analysis stages, and every stored copy is checked against its derived
-    value. Malformed input raises ReportFormatError: a missing key, a value
-    of the wrong type, a part whose invariants fail, a classifier that
-    breaks the overlap rule, or a stored copy that disagrees with the
-    derived value, named by its dotted path.
+    Only facts are read: the partitions, the classifier assignment and the
+    provenance. The rest, the theorem record included, is rebuilt by the
+    assembly analyze_decision_system uses, and the whole dict must equal
+    the rebuilt report's dict, JSON type for JSON type (key order aside):
+    a dict loads exactly when saving its report writes it back. An mrc
+    assignment must also be the one its tie-break and seed give.
+    Malformed input raises ReportFormatError: a missing key, a value of the
+    wrong type, a part whose invariants fail, a classifier that breaks the
+    overlap rule, or a stored value that differs from the rebuilt one,
+    named by its dotted path.
     """
+    # The rebuilt stages and the dict compared with the stored one are large
+    # and acyclic: the cyclic collector would walk them repeatedly and free
+    # nothing, so it is paused for the load and restored after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         report = _rebuild(data)
-        stale = next(
-            (
-                path
-                for path, derived in _derived(report).items()
-                if not _same(_at(data, path), derived)
-            ),
-            None,
-        )
+        difference = _first_difference(data, report_to_dict(report))
+        # last, so a rewritten assignment is named where its stages differ
+        if difference is None and report.classifier_kind == "mrc":
+            best = maximal_row_classifier(report.frequency, report.tie_break, report.seed)
+            difference = _first_difference(
+                data["classifier"]["assignment"], _pairs(best), "classifier.assignment"
+            )
     except KeyError as exc:
         raise ReportFormatError(f"malformed report: missing key {exc}") from exc
     except (
         ArithmeticError, LookupError, TypeError, ValueError, RoughAnalysisError
     ) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from exc
-    if stale is not None:
-        derived = _derived(report)[stale]
-        if isinstance(derived, Iterator):
-            derived = list(derived)
-        path, stored, derived = _first_difference(stale, _at(data, stale), derived)
-        raise ReportFormatError(
-            f"malformed report: {path} is {reprlib.repr(stored)}, "
-            f"the report derives {reprlib.repr(derived)}"
-        )
+    finally:
+        if collecting:
+            gc.enable()
+    if difference is not None:
+        raise ReportFormatError(f"malformed report: {difference}")
     return report
 
 
-_END = object()
+def _pairs(f: RoughClassifier) -> list[list[int]]:
+    return list(map(list, enumerate(f.assignment, start=1)))
+
+
+_SCALARS = {int, bool, str, type(None)}
 
 
 def _same(stored: object, derived: object) -> bool:
     """JSON equality that tells the types apart: 1, 1.0 and true differ.
 
-    A derived iterator yields rows of ints; the stored rows are compared
-    with `==` and then given one type pass over all their cells, and so is
-    a derived list of ints, with no Python call per item.
+    A list of one scalar type, or of lists of ints, is compared with one
+    `==` and one type pass, with no Python call per item; a list of dicts
+    that share their keys is compared column by column, so each column
+    can take the same path.
     """
-    if isinstance(derived, Iterator):
-        return (
-            isinstance(stored, list)
-            and all(starmap(eq, zip_longest(stored, derived, fillvalue=_END)))
-            and _types(chain.from_iterable(stored)) <= {int}
-        )
-    if type(stored) is not type(derived):
+    kind = type(derived)
+    if type(stored) is not kind:
         return False
-    if type(derived) is dict:
+    if kind is dict:
         return stored.keys() == derived.keys() and all(
             map(_same, map(stored.__getitem__, derived), derived.values())
         )
-    if type(derived) is list:
-        if _types(derived) <= {int}:
-            return stored == derived and _types(stored) <= {int}
-        return len(stored) == len(derived) and all(map(_same, stored, derived))
-    return stored == derived
-
-
-def _at(data: object, path: str) -> object:
-    for key in path.split("."):
-        data = data[key]
-    return data
-
-
-def _first_difference(
-    path: str, stored: object, derived: object
-) -> tuple[str, object, object]:
-    """Descend two unequal JSON values to the first item where they differ."""
-    while True:
-        if isinstance(stored, dict) and isinstance(derived, dict):
-            if stored.keys() != derived.keys():
-                return path, stored, derived
-            key = next(k for k in derived if not _same(stored[k], derived[k]))
-        elif isinstance(stored, list) and isinstance(derived, list):
-            if len(stored) != len(derived):
-                return path, stored, derived
-            key = next(
-                i for i, pair in enumerate(zip(stored, derived)) if not _same(*pair)
+    if kind is not list:
+        return stored == derived
+    if len(stored) != len(derived):
+        return False
+    types = _types(derived)
+    if len(types) < 2 and types <= _SCALARS:
+        return stored == derived and _types(stored) <= types
+    if types == {list} and _types(chain.from_iterable(derived)) <= {int}:
+        return (
+            stored == derived
+            and _types(stored) == types
+            and _types(chain.from_iterable(stored)) <= {int}
+        )
+    if types == {dict} and _types(stored) == types:
+        keys = derived[0].keys()
+        if all(map(eq, map(dict.keys, chain(stored, derived)), repeat(keys))):
+            return all(
+                _same(list(map(itemgetter(key), stored)), list(map(itemgetter(key), derived)))
+                for key in keys
             )
+    return all(map(_same, stored, derived))
+
+
+def _first_difference(stored: object, derived: object, path: str = "") -> str | None:
+    """Name the first item, by dotted path, where two JSON values differ
+    (see _same); None when they are the same."""
+    if _same(stored, derived):
+        return None
+    while True:
+        where = path or "top level"
+        if type(stored) is dict and type(derived) is dict:
+            if stored.keys() != derived.keys():
+                unknown = _key_list(stored.keys() - derived.keys())
+                missing = _key_list(derived.keys() - stored.keys())
+                return f"{where}: unknown keys {unknown}, missing keys {missing}"
+            key = next(k for k in derived if not _same(stored[k], derived[k]))
+        elif type(stored) is list and type(derived) is list and len(stored) == len(derived):
+            key = next(i for i, pair in enumerate(zip(stored, derived)) if not _same(*pair))
         else:
-            return path, stored, derived
-        path, stored, derived = f"{path}.{key}", stored[key], derived[key]
+            return (
+                f"{where} is {reprlib.repr(stored)}, "
+                f"the report derives {reprlib.repr(derived)}"
+            )
+        path = f"{path}.{key}" if path else str(key)
+        stored, derived = stored[key], derived[key]
+
+
+def _key_list(keys: Iterable[object]) -> str:
+    return ", ".join(sorted(map(repr, keys))) or "none"
 
 
 def _types(values: Iterable[object]) -> set[type]:
@@ -431,9 +435,14 @@ def _type_names(types: set[type]) -> str:
     return " or ".join(sorted("null" if t is type(None) else t.__name__ for t in types))
 
 
+_TIE_BREAKS = [t.value for t in TieBreak]
+
+
 def _rebuild(data: dict[str, object]) -> AnalysisReport:
-    meta, cls_data, thm = data["input"], data["classifier"], data["theorems"]
-    pairs, lemmas = cls_data["assignment"], thm["lemma_checks"]
+    """Read the facts and assemble the report they give."""
+    meta, cls_data = data["input"], data["classifier"]
+    pairs, kind = cls_data["assignment"], cls_data["kind"]
+    tie_break, seed = cls_data["tie_break"], cls_data["seed"]
     if set(map(len, pairs)) - {2}:
         raise ValueError("classifier.assignment entries must be [granule, class] pairs")
     # Facts are written back as read, so each must have the type its JSON
@@ -446,70 +455,36 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
         ("input.decision", {str}, [meta["decision"]]),
         ("input.attributes", {list}, [meta["attributes"]]),
         ("input.attributes entries", {str}, meta["attributes"]),
-        ("classifier.kind", {str}, [cls_data["kind"]]),
-        ("classifier.tie_break", {str, type(None)}, [cls_data["tie_break"]]),
-        ("classifier.seed", {int, type(None)}, [cls_data["seed"]]),
-        ("theorems.applicable", {bool}, [thm["applicable"]]),
-        (
-            "bound check theorems, classes and chains",
-            {int},
-            chain.from_iterable(
-                (c["theorem"], c["class"], *c["chain"]) for c in thm["bound_checks"]
-            ),
-        ),
-        (
-            "lemma check parts and subjects",
-            {int},
-            chain.from_iterable(map(itemgetter("part", "subject"), lemmas)),
-        ),
-        ("lemma check flags", {bool}, map(itemgetter("passed"), lemmas)),
-        (
-            "theorems.context keys and values",
-            {str},
-            chain.from_iterable(dict.items(thm["context"])),
-        ),
     ):
         wrong = _types(values) - allowed
         if wrong:
             raise TypeError(
                 f"{what} must be {_type_names(allowed)}, not {_type_names(wrong)}"
             )
+    # the provenance analyze_decision_system records for each kind
+    if kind == "mrc":
+        if tie_break not in _TIE_BREAKS:
+            raise ValueError(
+                f"classifier.tie_break of an mrc classifier must be one of "
+                f"{', '.join(_TIE_BREAKS)}, not {tie_break!r}"
+            )
+        if type(seed) is not int:
+            raise TypeError(f"classifier.seed of an mrc classifier must be int, not {seed!r}")
+    elif kind == "custom":
+        if tie_break is not None or seed is not None:
+            raise ValueError(
+                "classifier.tie_break and classifier.seed of a custom classifier "
+                f"must be null, not {tie_break!r} and {seed!r}"
+            )
+    else:
+        raise ValueError(f"classifier.kind must be 'mrc' or 'custom', not {kind!r}")
     gfm = granule_frequency_matrix(
         Partition(tuple(frozenset(block) for block in data["granules"])),
         Partition(tuple(frozenset(block) for block in data["decision_classes"])),
     )
     f = RoughClassifier(tuple(cls for _, cls in pairs), gfm.k)
-    validation = validate_overlap(f, gfm)
-    if not validation.satisfies_rule:
-        raise OverlapViolationError(validation.violations)
-    cm = confusion_matrix(gfm, f)
-    theorems = TheoremReport(
-        applicable=thm["applicable"],
-        bound_checks=tuple(
-            BoundCheck(c["theorem"], c["class"], tuple(c["chain"]))
-            for c in thm["bound_checks"]
-        ),
-        lemma_checks=tuple(
-            LemmaCheck(c["part"], c["subject"], c["passed"])
-            for c in lemmas
-        ),
-        context=dict(thm["context"]),
-    )
-    return AnalysisReport(
-        source=meta["source"],
-        attribute_names=tuple(meta["attributes"]),
-        decision_name=meta["decision"],
-        frequency=gfm,
-        classifier_kind=cls_data["kind"],
-        tie_break=cls_data["tie_break"],
-        seed=cls_data["seed"],
-        classifier=f,
-        validation=validation,
-        confusion=cm,
-        approximation=approximation_summary(gfm),
-        bounds=confusion_bounds(cm, validation, is_row_maximal(f, gfm)),
-        theorems=theorems,
-    )
+    attributes = tuple(meta["attributes"])
+    return _assemble(meta["source"], attributes, meta["decision"], gfm, f, kind, tie_break, seed)
 
 
 def report_to_json(report: AnalysisReport) -> str:

@@ -1,4 +1,5 @@
-"""Each pipeline stage is built once per analysis and once per fuzz trial.
+"""Each pipeline stage is built once per analysis, per report load and
+per fuzz trial.
 
 The counters replace every binding of a stage builder in every loaded
 roughcm module, so a stage rebuilt by any module, the verifier included,
@@ -23,20 +24,31 @@ from roughcm import (
     is_row_maximal,
     oracle,
     partition_by_attributes,
+    report_from_dict,
+    report_to_dict,
     run_fuzz_trials,
     validate_overlap,
     verify_theorems,
 )
+import roughcm.report as report_module
 from roughcm.cli import main
 
 STAGES = ("partition_by_attributes", "decision_partition", "granule_frequency_matrix")
+LOAD_STAGES = (
+    "granule_frequency_matrix",
+    "confusion_matrix",
+    "confusion_bounds",
+    "verify_theorems",
+    "maximal_row_classifier",
+)
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls to the stage builders and to the lower-approximation oracle."""
+    """Count calls to the stage builders, the verifier and the
+    lower-approximation oracle."""
     counts: Counter[str] = Counter()
-    for name in (*STAGES, "oracle_lower"):
+    for name in {*STAGES, *LOAD_STAGES, "oracle_lower"}:
         original = getattr(roughcm, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -67,6 +79,35 @@ def test_analyze_builds_each_stage_once(calls, tv_system, classifier):
     assert report.theorems.applicable
     assert stage_counts(calls) == [1, 1, 1]
     assert calls["oracle_lower"] == report.n_classes
+
+
+@pytest.mark.parametrize(
+    "classifier", [None, RoughClassifier((2, 2, 2, 1), 2)], ids=["mrc", "custom"]
+)
+def test_a_report_load_builds_each_stage_and_verifies_once(calls, tv_system, classifier):
+    report = analyze_decision_system(
+        tv_system, attributes=("Price", "Screen"), classifier=classifier
+    )
+    data = report_to_dict(report)
+    calls.clear()
+    assert report_from_dict(data) == report
+    mrc_builds = 1 if classifier is None else 0
+    assert [calls[name] for name in LOAD_STAGES] == [1, 1, 1, 1, mrc_builds]
+    assert stage_counts(calls)[:2] == [0, 0]
+
+
+def test_analyze_and_the_load_share_one_assembly(monkeypatch, tv_system):
+    seen = []
+    original = report_module._assemble
+
+    def assemble(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(report_module, "_assemble", assemble)
+    report = analyze_decision_system(tv_system, attributes=("Price", "Screen"))
+    assert report_from_dict(report_to_dict(report)) == report
+    assert len(seen) == 2 and seen[0] == seen[1]
 
 
 def test_cli_analyze_with_a_mapping_builds_each_stage_once(calls, capsys, tv_csv, tmp_path):

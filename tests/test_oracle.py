@@ -67,6 +67,30 @@ class TestGeneratorConfig:
         with pytest.raises(GeneratorConfigError, match=message):
             GeneratorConfig(**settings)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("n_objects", 2.5),
+            ("n_objects", 10.0),
+            ("n_attributes", True),
+            ("values_per_attribute", "3"),
+            ("n_decision_values", 2.0),
+            ("seed", 0.0),
+            ("seed", False),
+        ],
+    )
+    def test_sizes_and_seed_must_be_ints(self, name, value):
+        settings = dict(
+            n_objects=10,
+            n_attributes=2,
+            values_per_attribute=3,
+            n_decision_values=2,
+            seed=0,
+        )
+        settings[name] = value
+        with pytest.raises(GeneratorConfigError, match=f"^{name} must be an int"):
+            GeneratorConfig(**settings)
+
     def test_more_classes_than_objects_rejected(self):
         with pytest.raises(GeneratorConfigError, match="cannot exceed"):
             GeneratorConfig(
@@ -308,4 +332,19 @@ class TestFuzzTrials:
     )
     def test_flag_validation(self, kwargs, message):
         with pytest.raises(GeneratorConfigError, match=message):
+            run_fuzz_trials(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            (dict(trials=2.5, base_seed=0), "trials"),
+            (dict(trials=True, base_seed=0), "trials"),
+            (dict(trials=2, base_seed=0.0), "base_seed"),
+            (dict(trials=2, base_seed=0, max_objects=2.5), "max_objects"),
+            (dict(trials=2, base_seed=0, max_objects=30.0), "max_objects"),
+            (dict(trials=2, base_seed=0, max_classes=True), "max_classes"),
+        ],
+    )
+    def test_counts_and_seed_must_be_ints(self, kwargs, name):
+        with pytest.raises(GeneratorConfigError, match=f"^{name} must be an int"):
             run_fuzz_trials(**kwargs)

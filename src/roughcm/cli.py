@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .classifiers import RoughClassifier, TieBreak, classifier_from_text
-from .core import Attribute, DecisionSystem
+from .core import Attribute, DecisionSystem, _collector_paused
 from .errors import CsvFormatError, OverlapViolationError, RoughAnalysisError
 from .matrices import GranuleFrequencyMatrix
 from .oracle import FuzzSummary, run_fuzz_trials
@@ -33,6 +33,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@_collector_paused
 def ingest_csv(path: str | Path, decision_column: str | None = None) -> DecisionSystem:
     """Read a decision table: one header row, one object per data row.
 

@@ -22,8 +22,11 @@ functions, so values can be shared freely.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+import functools
+import gc
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import ParamSpec, TypeVar
 
 from .errors import (
     DegenerateDecisionError,
@@ -45,6 +48,37 @@ __all__ = [
 ]
 
 ObjectSet = frozenset[int]
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
+
+
+def _collector_paused(fn: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Run `fn` with the cyclic garbage collector paused, then restore it.
+
+    The entries that build or walk O(n) containers (CSV ingestion, the
+    analysis, text rendering, and the report load and save) create
+    hundreds of thousands of long-lived, acyclic lists, tuples, sets and
+    dicts. Every full collection while they run walks all of them again
+    and frees nothing, so they run paused: the objects are examined once,
+    by the first collection after the pause. The collector's prior state
+    is restored on return and on raise, and a collector the caller had
+    disabled stays disabled, so paused entries nest. The pause is
+    process-wide while `fn` runs: another thread's cyclic garbage waits
+    for it, and a classifier callable handed to the analysis runs paused.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)

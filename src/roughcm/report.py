@@ -17,7 +17,6 @@ what saving its report writes.
 
 from __future__ import annotations
 
-import gc
 import reprlib
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
@@ -38,6 +37,7 @@ from .classifiers import (
 from .core import (
     DecisionSystem,
     Partition,
+    _collector_paused,
     decision_partition,
     partition_by_attributes,
 )
@@ -150,6 +150,7 @@ class AnalysisReport:
         return alpha_hat_overall(self.confusion)
 
 
+@_collector_paused
 def analyze_decision_system(
     ds: DecisionSystem,
     attributes: Iterable[str] | None = None,
@@ -312,6 +313,7 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
     }
 
 
+@_collector_paused
 def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """Rebuild a report from its dict form; inverse of report_to_dict.
 
@@ -326,11 +328,6 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     overlap rule, or a stored value that differs from the rebuilt one,
     named by its dotted path.
     """
-    # The rebuilt stages and the dict compared with the stored one are large
-    # and acyclic: the cyclic collector would walk them repeatedly and free
-    # nothing, so it is paused for the load and restored after.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
         report = _rebuild(data)
         difference = _first_difference(data, report_to_dict(report))
@@ -346,9 +343,6 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
         ArithmeticError, LookupError, TypeError, ValueError, RoughAnalysisError
     ) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from exc
-    finally:
-        if collecting:
-            gc.enable()
     if difference is not None:
         raise ReportFormatError(f"malformed report: {difference}")
     return report
@@ -401,7 +395,9 @@ def _same(stored: object, derived: object) -> bool:
 
 def _first_difference(stored: object, derived: object, path: str = "") -> str | None:
     """Name the first item, by dotted path, where two JSON values differ
-    (see _same); None when they are the same."""
+    (see _same); None when they are the same. Lists of different lengths
+    are named with both lengths and the index of their first differing
+    entry."""
     if _same(stored, derived):
         return None
     while True:
@@ -412,8 +408,17 @@ def _first_difference(stored: object, derived: object, path: str = "") -> str | 
                 missing = _key_list(derived.keys() - stored.keys())
                 return f"{where}: unknown keys {unknown}, missing keys {missing}"
             key = next(k for k in derived if not _same(stored[k], derived[k]))
-        elif type(stored) is list and type(derived) is list and len(stored) == len(derived):
-            key = next(i for i, pair in enumerate(zip(stored, derived)) if not _same(*pair))
+        elif type(stored) is list and type(derived) is list:
+            # past the shorter list's end when it is a prefix of the other
+            key = next(
+                (i for i, pair in enumerate(zip(stored, derived)) if not _same(*pair)),
+                min(len(stored), len(derived)),
+            )
+            if len(stored) != len(derived):
+                return (
+                    f"{where} has {len(stored)} entries, the report derives "
+                    f"{len(derived)}; they first differ at entry {key}"
+                )
         else:
             return (
                 f"{where} is {reprlib.repr(stored)}, "
@@ -487,6 +492,7 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
     return _assemble(meta["source"], attributes, meta["decision"], gfm, f, kind, tie_break, seed)
 
 
+@_collector_paused
 def report_to_json(report: AnalysisReport) -> str:
     """Canonical JSON rendering: stable key order, two-space indent.
 
@@ -561,6 +567,7 @@ def _frac_text(value: Fraction) -> str:
     return f"{value} ({_decimal6(value)})"
 
 
+@_collector_paused
 def render_text(report: AnalysisReport) -> str:
     """Human-oriented rendering with the two matrices laid out as tables."""
     gfm = report.frequency

@@ -224,3 +224,30 @@ class TestProvenance:
         )
         text = report_to_json(report)
         assert report_from_dict(json.loads(text)) == report
+
+
+@pytest.mark.parametrize(
+    "index,message",
+    [
+        (0, "has 4 entries, the report derives 5; they first differ at entry 0"),
+        (2, "has 4 entries, the report derives 5; they first differ at entry 2"),
+        (-1, "has 4 entries, the report derives 5; they first differ at entry 4"),
+    ],
+)
+def test_a_missing_list_entry_is_named_by_its_index(mrc_text, index, message):
+    data = json.loads(mrc_text)
+    del data["theorems"]["lemma_checks"][index]
+    with pytest.raises(ReportFormatError) as info:
+        report_from_dict(data)
+    assert str(info.value) == f"malformed report: theorems.lemma_checks {message}"
+
+
+def test_an_extra_list_entry_is_named_by_its_index(mrc_text):
+    data = json.loads(mrc_text)
+    data["theorems"]["bound_checks"].insert(1, data["theorems"]["bound_checks"][3])
+    with pytest.raises(ReportFormatError) as info:
+        report_from_dict(data)
+    assert str(info.value) == (
+        "malformed report: theorems.bound_checks has 9 entries, "
+        "the report derives 8; they first differ at entry 1"
+    )

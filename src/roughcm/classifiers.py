@@ -12,11 +12,15 @@ construction and maximizes the success ratio among all rough classifiers.
 from __future__ import annotations
 
 import random
+import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import eq, itemgetter, not_
 
-from .errors import ClassifierFileError
+from .errors import ClassifierFileError, _listed
 from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, _require_shapes
 
 __all__ = [
@@ -152,43 +156,72 @@ def classifier_to_text(f: RoughClassifier) -> str:
     return "\n".join(lines) + "\n"
 
 
+_COMMENT = re.compile("#[^\n]*")
+_MAX_DIGITS = 4300  # int() refuses longer digit strings by default
+_INDEX = rf"-?[0-9]{{1,{_MAX_DIGITS}}}"
+_INDEX_PAIR = re.compile(rf"{_INDEX} {_INDEX}")
+# A line that is neither blank nor two indices apart; spacing other than
+# ASCII space, tab and CR also matches, and is then judged line by line.
+_ODD_LINE = re.compile(
+    rf"^(?![ \t\r]*(?:{_INDEX}[ \t\r]+{_INDEX}[ \t\r]*)?$)", re.MULTILINE
+)
+
+
+def _first_fault(flags: Iterable[object]) -> int | None:
+    """Index of the first falsy flag, None if there is none."""
+    return next(compress(count(), map(not_, flags)), None)
+
+
 def classifier_from_text(text: str, n_granules: int, n_classes: int) -> RoughClassifier:
     """Parse a mapping file; `#` starts a comment, blank lines are ignored.
 
-    The file must assign every granule 1..n_granules exactly once to a
-    class in 1..n_classes.
+    Lines end at `\\n` (a `\\r` before it is whitespace), indices are ASCII
+    decimal integers, and the file must assign every granule 1..n_granules
+    exactly once to a class in 1..n_classes. An error names the first
+    faulty line and the first rule it breaks.
     """
-    seen: dict[int, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ClassifierFileError(
-                f"line {lineno}: expected two fields, got {len(parts)}"
-            )
-        try:
-            granule, cls = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ClassifierFileError(
-                f"line {lineno}: indices must be integers"
-            ) from None
-        if not 1 <= granule <= n_granules:
-            raise ClassifierFileError(
-                f"line {lineno}: granule index {granule} out of range 1..{n_granules}"
-            )
-        if not 1 <= cls <= n_classes:
-            raise ClassifierFileError(
-                f"line {lineno}: class index {cls} out of range 1..{n_classes}"
-            )
-        if granule in seen:
-            raise ClassifierFileError(f"line {lineno}: granule {granule} assigned twice")
-        seen[granule] = cls
-    missing = [i for i in range(1, n_granules + 1) if i not in seen]
+    body = _COMMENT.sub("", text)
+    # Each rule is tested on the whole file at once and line by line only
+    # where that test fails, on the lines before the first fault found so
+    # far; rules run in the order a line-by-line reader checks them, so the
+    # fault left standing is the first faulty line's first broken rule.
+    fault = None
+    if _ODD_LINE.search(body) is None:
+        tokens = body.split()
+    else:
+        rows = list(filter(None, map(str.split, body.split("\n"))))
+        at = _first_fault(map(eq, map(len, rows), repeat(2)))
+        if at is not None:
+            fault = f"expected two fields, got {len(rows[at])}"
+            del rows[at:]
+        at = _first_fault(map(_INDEX_PAIR.fullmatch, map(" ".join, rows)))
+        if at is not None:
+            fault = "indices must be integers"
+            del rows[at:]
+        tokens = list(chain.from_iterable(rows))
+    numbers = list(map(int, tokens))
+    granules, classes = numbers[0::2], numbers[1::2]
+    for name, values, size in (
+        ("granule", granules, n_granules),
+        ("class", classes, n_classes),
+    ):
+        if not (1 <= min(values, default=1) and max(values, default=0) <= size):
+            at = _first_fault(map(range(1, size + 1).__contains__, values))
+            fault = f"{name} index {values[at]} out of range 1..{size}"
+            del granules[at:], classes[at:]
+    if len(set(granules)) < len(granules):
+        # setdefault hands back the row a granule first appeared in
+        at = _first_fault(map(eq, map({}.setdefault, granules, count()), count()))
+        fault = f"granule {granules[at]} assigned twice"
+        del granules[at:], classes[at:]
+    if fault is not None:
+        fields = map(str.split, body.split("\n"))
+        lineno = list(compress(count(1), fields))[len(granules)]
+        raise ClassifierFileError(f"line {lineno}: {fault}")
+    assigned = dict(zip(granules, classes))
+    missing = list(filterfalse(assigned.__contains__, range(1, n_granules + 1)))
     if missing:
-        listed = ", ".join(map(str, missing))
-        raise ClassifierFileError(f"no assignment for granule(s) {listed}")
+        raise ClassifierFileError(f"no assignment for granule(s) {_listed(missing)}")
     return RoughClassifier(
-        tuple(seen[i] for i in range(1, n_granules + 1)), n_classes
+        tuple(map(assigned.__getitem__, range(1, n_granules + 1))), n_classes
     )

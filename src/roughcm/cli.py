@@ -13,11 +13,11 @@ import json
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 from .classifiers import RoughClassifier, TieBreak, classifier_from_text
-from .core import Attribute, DecisionSystem, _collector_paused
+from .core import Attribute, DecisionSystem, _collector_paused, _Column
 from .errors import CsvFormatError, OverlapViolationError, RoughAnalysisError
 from .matrices import GranuleFrequencyMatrix
 from .oracle import FuzzSummary, run_fuzz_trials
@@ -40,21 +40,24 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
     Objects are numbered 1..n in row order. `decision_column` names the
     decision attribute (default: the last column); every other column
     becomes a condition attribute. Cells are opaque tokens; empty cells,
-    ragged rows, and duplicate or empty header names are rejected.
+    ragged rows, and duplicate or empty header names are rejected. Equal
+    tokens are interned to one string and each column is kept as one
+    tuple, which the attribute values view.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            records = list(reader)
+            rows = list(reader)
         except csv.Error as exc:
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not records:
+    if not rows:
         raise CsvFormatError(f"{path}: empty file")
-    header, *rows = records
-    if len(header) < 2:
+    header = rows.pop(0)
+    width = len(header)
+    if width < 2:
         raise CsvFormatError(
             f"{path}: need at least two columns (conditions plus decision), "
-            f"got {len(header)}"
+            f"got {width}"
         )
     if any(not name for name in header):
         raise CsvFormatError(f"{path}: header has an empty column name")
@@ -65,6 +68,30 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
         )
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
+    cells = list(map(sys.intern, chain.from_iterable(rows)))
+    if set(map(len, rows)) != {width} or "" in cells:
+        _refuse_first_bad_row(path, header, rows)
+    ids = tuple(range(1, len(rows) + 1))
+    del rows  # the row lists go before the columns are built
+    columns = {
+        name: _Column(ids, tuple(cells[position::width]))
+        for position, name in enumerate(header)
+    }
+    del cells
+    if decision_column is None:
+        decision_column = header[-1]
+    if decision_column not in header:
+        raise CsvFormatError(f"{path}: unknown decision column {decision_column!r}")
+    conditions = tuple(
+        Attribute(name, columns[name]) for name in header if name != decision_column
+    )
+    return DecisionSystem(ids, conditions, Attribute(decision_column, columns[decision_column]))
+
+
+def _refuse_first_bad_row(
+    path: str | Path, header: list[str], rows: list[list[str]]
+) -> None:
+    """Raise for the first row that is ragged or has an empty cell."""
     for number, row in enumerate(rows, start=1):
         if len(row) != len(header):
             raise CsvFormatError(
@@ -73,19 +100,6 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
         if "" in row:
             name = header[row.index("")]
             raise CsvFormatError(f"{path}: row {number}, column {name!r} is empty")
-    if decision_column is None:
-        decision_column = header[-1]
-    if decision_column not in header:
-        raise CsvFormatError(f"{path}: unknown decision column {decision_column!r}")
-    ids = tuple(range(1, len(rows) + 1))
-    columns = {
-        name: dict(zip(ids, map(itemgetter(position), rows)))
-        for position, name in enumerate(header)
-    }
-    conditions = tuple(
-        Attribute(name, columns[name]) for name in header if name != decision_column
-    )
-    return DecisionSystem(ids, conditions, Attribute(decision_column, columns[decision_column]))
 
 
 def run_analyze(args: argparse.Namespace) -> AnalysisReport:

@@ -16,6 +16,16 @@ is then expressed relative to a granule partition by two approximations:
 * the upper approximation, the union of the granules meeting Y: objects
   that possibly belong to Y.
 
+A decision system stores each attribute as one column of tokens aligned
+with its object ids in ascending order, whether the attributes came from
+CSV ingestion or from hand-built dicts; `Attribute.values` stays a
+Mapping from id to token, for an ingested table a read-only view of its
+column. A partition is built from labels: one pass over the objects in
+ascending id order numbers each distinct key by its first occurrence, so
+a block's label is its rank by smallest member, which is the canonical
+block order, and the blocks need no sorting. The same object-to-block labels (`Partition.block_index`) count
+the granule frequency matrix.
+
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely.
 """
@@ -24,14 +34,17 @@ from __future__ import annotations
 
 import functools
 import gc
-from collections.abc import Callable, Hashable, Iterable, Mapping
+from collections import defaultdict, deque
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from itertools import count
 from typing import ParamSpec, TypeVar
 
 from .errors import (
     DegenerateDecisionError,
     UniverseMismatchError,
     UnknownAttributeError,
+    _listed,
 )
 
 __all__ = [
@@ -89,18 +102,58 @@ class Attribute:
     values: Mapping[int, str]
 
 
+class _Column(Mapping[int, str]):
+    """Read-only id -> token view of a column: `tokens[i]` belongs to `ids[i]`.
+
+    Iteration and length read the column; lookups go through the id-keyed
+    dict, built on first use, so the view answers `[]`, `get`, `in`, `==`
+    and `repr` exactly as that dict does, hash-equal keys such as True for
+    1 included. A decision system whose ascending ids are `ids` takes the
+    tokens as they are.
+    """
+
+    __slots__ = ("ids", "tokens", "_by_id")
+
+    def __init__(self, ids: tuple[int, ...], tokens: tuple[str, ...]) -> None:
+        self.ids, self.tokens = ids, tokens
+        self._by_id: dict[int, str] | None = None
+
+    def _dict(self) -> dict[int, str]:
+        if self._by_id is None:
+            self._by_id = dict(zip(self.ids, self.tokens))
+        return self._by_id
+
+    def __getitem__(self, x: int) -> str:
+        return self._dict()[x]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return repr(self._dict())
+
+
 @dataclass(frozen=True)
 class DecisionSystem:
     """Objects, their condition attributes, and one decision attribute.
 
     Object ids are arbitrary distinct integers; CSV ingestion numbers rows
     1..n. Every attribute must provide a value for every object, and the
-    decision attribute must take at least two distinct values.
+    decision attribute must take at least two distinct values. The
+    constructor keeps each attribute as a column of tokens aligned with
+    the ids in ascending order, the order partitions visit the objects in.
     """
 
     object_ids: tuple[int, ...]
     condition_attributes: tuple[Attribute, ...]
     decision_attribute: Attribute
+    _ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _columns: Mapping[str, tuple[str, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "object_ids", tuple(self.object_ids))
@@ -116,16 +169,25 @@ class DecisionSystem:
         names.append(self.decision_attribute.name)
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
+        ids = tuple(sorted(self.object_ids))
+        columns = {}
         for attribute in (*self.condition_attributes, self.decision_attribute):
-            if attribute.values.keys() != universe:
+            values = attribute.values
+            if isinstance(values, _Column) and values.ids == ids:
+                columns[attribute.name] = values.tokens
+            elif values.keys() != universe:
                 raise ValueError(
                     f"attribute {attribute.name!r} must map exactly the object ids"
                 )
-        if len(set(self.decision_attribute.values.values())) < 2:
+            else:
+                columns[attribute.name] = tuple(map(values.__getitem__, ids))
+        if len(set(columns[self.decision_attribute.name])) < 2:
             raise DegenerateDecisionError(
                 f"decision attribute {self.decision_attribute.name!r} takes a single "
                 "value; at least two decision classes are required"
             )
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_columns", columns)
 
     @property
     def n(self) -> int:
@@ -167,6 +229,23 @@ class Partition:
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "block_index", block_index)
 
+    @classmethod
+    def _from_labels(cls, ids: tuple[int, ...], keys: Iterable[Hashable]) -> Partition:
+        """One block per distinct key, holding the ids paired with that key.
+
+        The ids must ascend. Each key is labelled by its first occurrence,
+        so the labels already number the blocks in canonical order: the
+        blocks are filled by label and neither sorted nor checked.
+        """
+        label = defaultdict(count().__next__)
+        labels = list(map(label.__getitem__, keys))
+        groups: list[list[int]] = [[] for _ in range(len(label))]
+        deque(map(list.append, map(groups.__getitem__, labels), ids), maxlen=0)
+        p = object.__new__(cls)
+        object.__setattr__(p, "blocks", tuple(map(frozenset, groups)))
+        object.__setattr__(p, "block_index", dict(zip(ids, labels)))
+        return p
+
     def __len__(self) -> int:
         return len(self.blocks)
 
@@ -178,7 +257,7 @@ class Partition:
 def _require_members(p: Partition, members: ObjectSet) -> None:
     foreign = members.difference(p.block_index)
     if foreign:
-        listed = ", ".join(str(x) for x in sorted(foreign))
+        listed = _listed(sorted(foreign))
         raise UniverseMismatchError(f"object id(s) outside the universe: {listed}")
 
 
@@ -200,27 +279,13 @@ def partition_by_attributes(ds: DecisionSystem, attributes: Iterable[str]) -> Pa
     unknown = tuple(sorted(requested - set(ds.condition_names)))
     if unknown:
         raise UnknownAttributeError(unknown)
-    ids = ds.object_ids
-    columns = [
-        map(a.values.__getitem__, ids)
-        for a in ds.condition_attributes
-        if a.name in requested
-    ]
-    return _group(ids, zip(*columns))
+    columns = map(ds._columns.__getitem__, requested)
+    return Partition._from_labels(ds._ids, zip(*columns))
 
 
 def decision_partition(ds: DecisionSystem) -> Partition:
     """Partition the objects by decision value: the decision classes."""
-    ids = ds.object_ids
-    return _group(ids, map(ds.decision_attribute.values.__getitem__, ids))
-
-
-def _group(ids: Iterable[int], keys: Iterable[Hashable]) -> Partition:
-    """One block per distinct key, holding the ids paired with that key."""
-    groups: dict[Hashable, list[int]] = {}
-    for x, key in zip(ids, keys):
-        groups.setdefault(key, []).append(x)
-    return Partition(tuple(map(frozenset, groups.values())))
+    return Partition._from_labels(ds._ids, ds._columns[ds.decision_attribute.name])
 
 
 def lower_approximation(p: Partition, members: Iterable[int]) -> ObjectSet:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 __all__ = [
     "RoughAnalysisError",
     "UnknownAttributeError",
@@ -16,6 +18,16 @@ __all__ = [
     "ReportFormatError",
     "OverlapViolationError",
 ]
+
+
+_SHOWN = 10
+
+
+def _listed(ids: Sequence[object]) -> str:
+    """Name the first ten ids, then how many more there are."""
+    listed = ", ".join(map(str, ids[:_SHOWN]))
+    rest = len(ids) - _SHOWN
+    return f"{listed} and {rest} more" if rest > 0 else listed
 
 
 class RoughAnalysisError(Exception):
@@ -79,5 +91,5 @@ class OverlapViolationError(RoughAnalysisError):
 
     def __init__(self, violations: tuple[int, ...]):
         self.violations = tuple(violations)
-        listed = ", ".join(str(i) for i in self.violations)
+        listed = _listed(self.violations)
         super().__init__(f"classifier violates the overlap rule at granule(s) {listed}")

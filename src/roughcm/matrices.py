@@ -12,8 +12,10 @@ class sizes, whatever the classifier does.
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .core import ObjectSet, Partition, _require_same_universe
@@ -52,7 +54,7 @@ class GranuleFrequencyMatrix:
         m, k = len(self.granules.blocks), len(self.decisions.blocks)
         if len(cells) != m or set(map(len, cells)) != {k}:
             raise ShapeMismatchError(f"expected a {m}x{k} count matrix")
-        if min(map(min, cells)) < 0:
+        if min(chain.from_iterable(cells)) < 0:
             raise ValueError("counts must be non-negative")
         if tuple(map(sum, cells)) != self.granule_sizes:
             raise ValueError("row sums must equal granule sizes")
@@ -126,19 +128,21 @@ def granule_frequency_matrix(
 ) -> GranuleFrequencyMatrix:
     """Count, for every granule, how many members fall in each class.
 
-    One counting pass: every granule tallies its members by the class
-    index the decision partition maps them to. The universes are compared
-    first, so a granule member without a class is refused, not looked up.
+    One counting pass over the objects: each object's granule label i and
+    class label j, read from the two `block_index` maps, name the flat
+    cell i * k + j it adds to. The universes are compared first, so a
+    granule member without a class is refused, not looked up.
     """
     _require_same_universe(granules, decisions)
-    class_of = decisions.block_index
-    cells = []
-    for block in granules.blocks:
-        row = [0] * len(decisions.blocks)
-        for x in block:
-            row[class_of[x]] += 1
-        cells.append(tuple(row))
-    return GranuleFrequencyMatrix(tuple(cells), granules, decisions)
+    k = len(decisions.blocks)
+    row_of, class_of = granules.block_index, decisions.block_index
+    row_starts = map(mul, row_of.values(), repeat(k))
+    counts = Counter(map(add, row_starts, map(class_of.__getitem__, row_of)))
+    flat = [0] * (len(granules.blocks) * k)
+    deque(map(flat.__setitem__, counts.keys(), counts.values()), maxlen=0)
+    # k consecutive cells per granule row
+    cells = tuple(zip(*[iter(flat)] * k))
+    return GranuleFrequencyMatrix(cells, granules, decisions)
 
 
 def _require_shapes(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> None:

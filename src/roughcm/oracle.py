@@ -36,6 +36,7 @@ from .core import (
     DecisionSystem,
     ObjectSet,
     Partition,
+    _Column,
     _require_members,
     decision_partition,
     partition_by_attributes,
@@ -139,14 +140,14 @@ def random_decision_system(config: GeneratorConfig) -> DecisionSystem:
     value_tokens = [f"v{v}" for v in range(1, n_values + 1)]
     conditions = []
     for a in range(1, config.n_attributes + 1):
-        column = [value_tokens[_below(bits, n_values)] for _ in ids]
-        conditions.append(Attribute(f"a{a}", dict(zip(ids, column))))
+        column = tuple([value_tokens[_below(bits, n_values)] for _ in ids])
+        conditions.append(Attribute(f"a{a}", _Column(ids, column)))
     while True:
         drawn = [_below(bits, n_classes) for _ in ids]
         if len(set(drawn)) >= 2:
             break
     class_tokens = [f"c{c}" for c in range(1, n_classes + 1)]
-    decided = dict(zip(ids, map(class_tokens.__getitem__, drawn)))
+    decided = _Column(ids, tuple(map(class_tokens.__getitem__, drawn)))
     return DecisionSystem(ids, tuple(conditions), Attribute("d", decided))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from roughcm import (
     ClassifierFileError,
     DecisionSystem,
     GeneratorConfig,
+    OverlapViolationError,
     RoughClassifier,
     TieBreak,
     ValidationReport,
@@ -262,6 +264,35 @@ class TestMrcOptimality:
             )
 
 
+_ATOMS = ["1", "2", "3", "4", "0", "-1", "01", "x", " ", "\t", "\n", "\n", "\r\n", "# c"]
+
+
+def _read_lines(text, n_granules, n_classes):
+    """A mapping file read one line at a time: the rules and messages of
+    classifier_from_text, checked in order on each line."""
+    seen = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return f"line {lineno}: expected two fields, got {len(parts)}"
+        if not all(re.fullmatch("-?[0-9]+", part) for part in parts):
+            return f"line {lineno}: indices must be integers"
+        granule, cls = map(int, parts)
+        if not 1 <= granule <= n_granules:
+            return f"line {lineno}: granule index {granule} out of range 1..{n_granules}"
+        if not 1 <= cls <= n_classes:
+            return f"line {lineno}: class index {cls} out of range 1..{n_classes}"
+        if granule in seen:
+            return f"line {lineno}: granule {granule} assigned twice"
+        seen[granule] = cls
+    missing = [i for i in range(1, n_granules + 1) if i not in seen]
+    if missing:
+        return f"no assignment for granule(s) {', '.join(map(str, missing))}"
+    return tuple(seen[i] for i in range(1, n_granules + 1))
+
+
 class TestMappingFiles:
     def test_round_trip(self, tv_gfm):
         f = maximal_row_classifier(tv_gfm)
@@ -294,3 +325,61 @@ class TestMappingFiles:
     def test_line_numbers_reported(self):
         with pytest.raises(ClassifierFileError, match="line 3"):
             classifier_from_text("# header\n1 1\n2\n", 2, 2)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("0_1 1\n2 1\n", "line 1: indices must be integers"),
+            ("+1 1\n2 1\n", "line 1: indices must be integers"),
+            ("\u0661 1\n2 1\n", "line 1: indices must be integers"),
+            ("1 1\x0c2 2\n", "line 1: expected two fields, got 4"),
+            ("1 1\u20282 2\n", "line 1: expected two fields, got 4"),
+        ],
+        ids=["underscore", "plus-sign", "arabic-indic-digit", "form-feed", "line-sep"],
+    )
+    def test_only_ascii_digits_and_newlines_count(self, text, message):
+        with pytest.raises(ClassifierFileError) as raised:
+            classifier_from_text(text, 2, 2)
+        assert str(raised.value) == message
+
+    def test_crlf_line_ends_are_tolerated(self):
+        text = "# mapping\r\n1 2\r\n\r\n2 1\r\n"
+        assert classifier_from_text(text, 2, 2).assignment == (2, 1)
+        with pytest.raises(ClassifierFileError, match="^line 3: expected two"):
+            classifier_from_text("1 1\r\n\r\n2\r\n", 2, 2)
+
+    def test_first_faulty_line_wins_over_earlier_rules(self):
+        # line 2 breaks the range rule before line 3 breaks the field rule
+        with pytest.raises(ClassifierFileError, match="^line 2: granule index 5"):
+            classifier_from_text("1 1\n5 1\n2\n", 2, 2)
+        with pytest.raises(ClassifierFileError, match="^line 2: indices must be"):
+            classifier_from_text("1 1\n-x 1\n1 1\n", 2, 2)
+
+    @given(st.lists(st.sampled_from(_ATOMS), max_size=16), st.integers(1, 4))
+    def test_parse_equals_a_line_by_line_reading(self, atoms, n_granules):
+        text = "".join(atoms)
+        expected = _read_lines(text, n_granules, 3)
+        try:
+            got = classifier_from_text(text, n_granules, 3).assignment
+        except ClassifierFileError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_missing_granules_past_ten_are_counted_not_listed(self):
+        with pytest.raises(ClassifierFileError) as raised:
+            classifier_from_text("# nothing assigned\n", 74_424, 5)
+        message = str(raised.value)
+        assert len(message.encode()) < 1024
+        assert message == (
+            "no assignment for granule(s) 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 74414 more"
+        )
+
+
+def test_overlap_violations_past_ten_are_counted_not_listed():
+    error = OverlapViolationError(tuple(range(1, 70_001)))
+    assert len(str(error).encode()) < 1024
+    assert str(error) == (
+        "classifier violates the overlap rule at granule(s) "
+        "1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 69990 more"
+    )
+    assert error.violations == tuple(range(1, 70_001))

@@ -159,6 +159,21 @@ class TestApproximations:
         with pytest.raises(UniverseMismatchError):
             upper_approximation(granules, {0})
 
+    def test_foreign_ids_past_ten_are_counted_not_listed(self, granules):
+        with pytest.raises(UniverseMismatchError) as raised:
+            lower_approximation(granules, range(4, 100_004))
+        message = str(raised.value)
+        assert len(message.encode()) < 1024
+        assert message == (
+            "object id(s) outside the universe: "
+            "7, 8, 9, 10, 11, 12, 13, 14, 15, 16 and 99987 more"
+        )
+
+    def test_ten_foreign_ids_are_all_listed(self, granules):
+        with pytest.raises(UniverseMismatchError) as raised:
+            upper_approximation(granules, range(7, 17))
+        assert str(raised.value).endswith(": 7, 8, 9, 10, 11, 12, 13, 14, 15, 16")
+
     def test_definability(self, granules):
         assert is_definable(granules, {2, 3, 4, 5})
         assert is_definable(granules, {1, 6})

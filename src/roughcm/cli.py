@@ -13,17 +13,18 @@ import json
 import sys
 from collections.abc import Sequence
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
+from typing import TextIO
 
 from .classifiers import RoughClassifier, TieBreak, classifier_from_text
 from .core import Attribute, DecisionSystem, _collector_paused, _Column
 from .errors import CsvFormatError, OverlapViolationError, RoughAnalysisError
 from .matrices import GranuleFrequencyMatrix
 from .oracle import FuzzSummary, run_fuzz_trials
-from .report import AnalysisReport, analyze_decision_system, render_text, report_to_json
+from .report import AnalysisReport, _json_parts, _text_parts, analyze_decision_system
 
-__all__ = ["ingest_csv", "run_analyze", "run_fuzz", "main"]
+__all__ = ["ingest_csv", "run_analyze", "write_report", "run_fuzz", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,6 +32,9 @@ class _Parser(argparse.ArgumentParser):
     # for overlap-rule violations, so downgrade flag problems to 1.
     def error(self, message: str) -> None:
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+_CHUNK = 8192  # csv rows read, interned and checked at a time
 
 
 @_collector_paused
@@ -43,17 +47,31 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
     ragged rows, and duplicate or empty header names are rejected. Equal
     tokens are interned to one string and each column is kept as one
     tuple, which the attribute values view.
+
+    Rows are read _CHUNK at a time, so only one chunk's row lists are
+    alive. The whole file is read before any check fails, so a line the
+    csv module refuses wins over every other fault, and the header faults
+    win over a bad data row wherever it sits.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
-            rows = list(reader)
+            header = next(reader, None)
+            width = len(header or ())
+            columns: list[list[str]] = [[] for _ in range(width)]
+            n, fault = 0, None
+            for rows in iter(lambda: list(islice(reader, _CHUNK)), []):
+                if fault is None:
+                    cells = list(map(sys.intern, chain.from_iterable(rows)))
+                    if set(map(len, rows)) != {width} or "" in cells:
+                        fault = _first_bad_row(path, header, rows, n + 1)
+                    for position, column in enumerate(columns):
+                        column.extend(cells[position::width])
+                n += len(rows)
         except csv.Error as exc:
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+    if header is None:
         raise CsvFormatError(f"{path}: empty file")
-    header = rows.pop(0)
-    width = len(header)
     if width < 2:
         raise CsvFormatError(
             f"{path}: need at least two columns (conditions plus decision), "
@@ -66,40 +84,35 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
         raise CsvFormatError(
             f"{path}: duplicate column name(s): {', '.join(duplicates)}"
         )
-    if not rows:
+    if n == 0:
         raise CsvFormatError(f"{path}: no data rows")
-    cells = list(map(sys.intern, chain.from_iterable(rows)))
-    if set(map(len, rows)) != {width} or "" in cells:
-        _refuse_first_bad_row(path, header, rows)
-    ids = tuple(range(1, len(rows) + 1))
-    del rows  # the row lists go before the columns are built
-    columns = {
-        name: _Column(ids, tuple(cells[position::width]))
-        for position, name in enumerate(header)
-    }
-    del cells
+    if fault is not None:
+        raise CsvFormatError(fault)
+    ids = tuple(range(1, n + 1))
+    # each list goes as soon as its tuple is built
+    values = {name: _Column(ids, tuple(columns.pop(0))) for name in header}
     if decision_column is None:
         decision_column = header[-1]
     if decision_column not in header:
         raise CsvFormatError(f"{path}: unknown decision column {decision_column!r}")
     conditions = tuple(
-        Attribute(name, columns[name]) for name in header if name != decision_column
+        Attribute(name, values[name]) for name in header if name != decision_column
     )
-    return DecisionSystem(ids, conditions, Attribute(decision_column, columns[decision_column]))
+    return DecisionSystem(ids, conditions, Attribute(decision_column, values[decision_column]))
 
 
-def _refuse_first_bad_row(
-    path: str | Path, header: list[str], rows: list[list[str]]
-) -> None:
-    """Raise for the first row that is ragged or has an empty cell."""
-    for number, row in enumerate(rows, start=1):
+def _first_bad_row(
+    path: str | Path, header: list[str], rows: list[list[str]], start: int
+) -> str | None:
+    """The message for the first row that is ragged or has an empty cell;
+    `rows` start at data row `start`."""
+    for number, row in enumerate(rows, start=start):
         if len(row) != len(header):
-            raise CsvFormatError(
-                f"{path}: row {number} has {len(row)} cells, expected {len(header)}"
-            )
+            return f"{path}: row {number} has {len(row)} cells, expected {len(header)}"
         if "" in row:
             name = header[row.index("")]
-            raise CsvFormatError(f"{path}: row {number}, column {name!r} is empty")
+            return f"{path}: row {number}, column {name!r} is empty"
+    return None
 
 
 def run_analyze(args: argparse.Namespace) -> AnalysisReport:
@@ -124,6 +137,15 @@ def run_analyze(args: argparse.Namespace) -> AnalysisReport:
         seed=args.seed,
         source=str(args.input),
     )
+
+
+@_collector_paused
+def write_report(report: AnalysisReport, fmt: str, out: TextIO) -> None:
+    """Write the report to `out` in `fmt`, "json" or "text", exactly as
+    report_to_json or render_text gives it, a part at a time: no more of
+    the text than one part is held."""
+    for part in _json_parts(report) if fmt == "json" else _text_parts(report):
+        out.write(part)
 
 
 def run_fuzz(args: argparse.Namespace) -> FuzzSummary:
@@ -231,11 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            report = run_analyze(args)
-            if args.format == "json":
-                sys.stdout.write(report_to_json(report))
-            else:
-                sys.stdout.write(render_text(report))
+            write_report(run_analyze(args), args.format, sys.stdout)
             return 0
         summary = run_fuzz(args)
         sys.stdout.write(_render_fuzz(summary, args.format))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le
@@ -167,11 +167,12 @@ def random_overlap_classifier(gfm: GranuleFrequencyMatrix, seed: int) -> RoughCl
 
 
 def oracle_lower(p: Partition, members: Iterable[int]) -> ObjectSet:
-    """Per-element route: keep x when the whole block of x sits inside the set."""
+    """Per-element route: keep each block that a member of the set maps to
+    and that sits inside the set, testing each such block once."""
     target = frozenset(members)
     _require_members(p, target)
-    blocks, index = p.blocks, p.block_index
-    return frozenset(x for x in target if blocks[index[x]] <= target)
+    inside = filter(target.issuperset, _met_blocks(p, target))
+    return frozenset(itertools.chain.from_iterable(inside))
 
 
 def oracle_upper(p: Partition, members: Iterable[int]) -> ObjectSet:
@@ -179,8 +180,12 @@ def oracle_upper(p: Partition, members: Iterable[int]) -> ObjectSet:
     so the cost follows the upper approximation's size, not the universe's."""
     target = frozenset(members)
     _require_members(p, target)
-    met = set(map(p.block_index.__getitem__, target))
-    return frozenset().union(*map(p.blocks.__getitem__, met))
+    return frozenset().union(*_met_blocks(p, target))
+
+
+def _met_blocks(p: Partition, target: ObjectSet) -> Iterator[ObjectSet]:
+    """Each block that a member of `target` maps to, once."""
+    return map(p.blocks.__getitem__, set(map(p.block_index.__getitem__, target)))
 
 
 def exhaustive_best_classifier(

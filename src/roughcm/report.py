@@ -4,26 +4,40 @@ The JSON form is the canonical machine format: rationals appear as
 {num, den, decimal} triples where the num/den pair is exact and the
 decimal field is a six-place string rendering for human eyes only.
 Serialization round-trips losslessly through report_to_dict and
-report_from_dict, and identical inputs produce byte-identical JSON:
-report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
-and a newline, with its own writer that handles only the JSON types the
-dict holds. report_from_dict reads only the facts (the partitions, the
-assignment and the provenance), requires each to have its JSON type,
-and passes them through the assembly analyze_decision_system uses, the
-theorem verifier included; the stored dict must then equal the rebuilt
-report's dict, JSON type for JSON type. A dict loads exactly when it is
-what saving its report writes.
+report_from_dict, and identical inputs produce byte-identical JSON.
+
+The form is described once, by _sections: the top-level (key, value)
+sections in order (input, granules, decision_classes, granule_matrix,
+classifier, confusion_matrix, indices, bounds, theorems), where each list
+that grows with the table (the partitions, the gfm rows and granule
+sizes, the assignment, the lemma checks) is an iterator of its items.
+report_to_dict draws the sections into one dict. report_to_json writes
+exactly json.dumps(report_to_dict(r), indent=2) and a newline, with its
+own writer that handles only the JSON types the dict holds: a section
+at a time, and those lists _CHUNK items at a time. render_text likewise
+makes its text in parts, the lines that grow with the table _CHUNK at a
+time and a decision class's ids _CHUNK at a time. Both join their parts;
+the command line writes the parts as they come, so neither the whole
+dict nor the whole text is ever held.
+
+report_from_dict reads only the facts (the partitions, the assignment
+and the provenance), requires each to have its JSON type, and passes
+them through the assembly analyze_decision_system uses, the theorem
+verifier included; the stored dict must then equal the rebuilt report's
+dict, JSON type for JSON type, compared one section at a time. A dict
+loads exactly when it is what saving its report writes.
 """
 
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter, eq, itemgetter
+from typing import TypeVar
 
 from .classifiers import (
     RoughClassifier,
@@ -228,89 +242,108 @@ def _assemble(
 
 def report_to_dict(report: AnalysisReport) -> dict[str, object]:
     """Plain-dict form of the report, ready for json.dumps."""
+    return _drawn(dict(_sections(report)))
+
+
+def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
+    """The report's JSON form, one top-level (key, value) section at a time.
+
+    The only description of that form: report_to_dict draws it whole,
+    report_to_json writes it and report_from_dict compares against it a
+    section at a time. Each list whose length grows with the table (the
+    partitions, the gfm rows and granule sizes, the assignment and the
+    lemma checks) is given as an iterator of its items, so a section is
+    cheap until its lists are drawn or written.
+    """
     gfm = report.frequency
     cm = report.confusion
-    index_rows = [
-        {
-            "class": j,
-            "size": approx.size,
-            "lower_size": approx.lower_size,
-            "upper_size": approx.upper_size,
-            "lower_coverage": rational_triple(approx.lower_coverage),
-            "upper_precision": rational_triple(approx.upper_precision),
-            "accuracy": rational_triple(approx.accuracy),
-            "alpha_hat": rational_triple(alpha),
-        }
-        for j, (approx, alpha) in enumerate(
-            zip(report.approximation.classes, report.alpha_hat), start=1
-        )
-    ]
-    return {
-        "input": {
-            "source": report.source,
-            "objects": report.n_objects,
-            "granules": report.n_granules,
-            "classes": report.n_classes,
-            "attributes": list(report.attribute_names),
-            "decision": report.decision_name,
-        },
-        "granules": [sorted(block) for block in report.granules.blocks],
-        "decision_classes": [sorted(block) for block in report.decisions.blocks],
-        "granule_matrix": {
-            "cells": list(map(list, gfm.cells)),
-            "granule_sizes": list(gfm.granule_sizes),
-            "class_sizes": list(gfm.class_sizes),
-            "total": gfm.total,
-        },
-        "classifier": {
-            "kind": report.classifier_kind,
-            "tie_break": report.tie_break,
-            "seed": report.seed,
-            "assignment": _pairs(report.classifier),
-            "row_maximal": report.row_maximal,
-            "satisfies_overlap": report.validation.satisfies_rule,
-            "violations": list(report.validation.violations),
-        },
-        "confusion_matrix": {
-            "cells": list(map(list, cm.cells)),
-            "row_sums": list(cm.row_sums),
-            "col_sums": list(cm.col_sums),
-            "total": cm.total,
-        },
-        "indices": {
-            "gamma": rational_triple(report.approximation.gamma),
-            "success_ratio": rational_triple(report.success),
-            "alpha_overall": rational_triple(report.alpha_overall),
-            "classes": index_rows,
-        },
-        "bounds": {
-            "rule_validated": report.bounds.rule_validated,
-            "mrc_classifier": report.bounds.mrc_classifier,
-            # ClassBounds declares its fields in the order the rows list them
-            "classes": [
-                {"class": j, **asdict(cb)}
-                for j, cb in enumerate(report.bounds.classes, start=1)
-            ],
-        },
-        "theorems": {
-            "applicable": report.theorems.applicable,
-            "overall_pass": report.theorems.overall_pass,
-            "bound_checks": [
-                {
-                    "theorem": c.theorem,
-                    "class": c.class_index,
-                    "chain": list(c.chain),
-                    "passed": c.passed,
-                }
-                for c in report.theorems.bound_checks
-            ],
-            "lemma_checks": [
-                {"part": c.part, "subject": c.subject, "passed": c.passed}
-                for c in report.theorems.lemma_checks
-            ],
-            "context": dict(report.theorems.context),
-        },
+    yield "input", {
+        "source": report.source,
+        "objects": report.n_objects,
+        "granules": report.n_granules,
+        "classes": report.n_classes,
+        "attributes": list(report.attribute_names),
+        "decision": report.decision_name,
     }
+    yield "granules", map(sorted, report.granules.blocks)
+    yield "decision_classes", map(sorted, report.decisions.blocks)
+    yield "granule_matrix", {
+        "cells": map(list, gfm.cells),
+        "granule_sizes": iter(gfm.granule_sizes),
+        "class_sizes": list(gfm.class_sizes),
+        "total": gfm.total,
+    }
+    yield "classifier", {
+        "kind": report.classifier_kind,
+        "tie_break": report.tie_break,
+        "seed": report.seed,
+        "assignment": _pairs(report.classifier),
+        "row_maximal": report.row_maximal,
+        "satisfies_overlap": report.validation.satisfies_rule,
+        "violations": list(report.validation.violations),
+    }
+    yield "confusion_matrix", {
+        "cells": list(map(list, cm.cells)),
+        "row_sums": list(cm.row_sums),
+        "col_sums": list(cm.col_sums),
+        "total": cm.total,
+    }
+    yield "indices", {
+        "gamma": rational_triple(report.approximation.gamma),
+        "success_ratio": rational_triple(report.success),
+        "alpha_overall": rational_triple(report.alpha_overall),
+        "classes": [
+            {
+                "class": j,
+                "size": approx.size,
+                "lower_size": approx.lower_size,
+                "upper_size": approx.upper_size,
+                "lower_coverage": rational_triple(approx.lower_coverage),
+                "upper_precision": rational_triple(approx.upper_precision),
+                "accuracy": rational_triple(approx.accuracy),
+                "alpha_hat": rational_triple(alpha),
+            }
+            for j, (approx, alpha) in enumerate(
+                zip(report.approximation.classes, report.alpha_hat), start=1
+            )
+        ],
+    }
+    yield "bounds", {
+        "rule_validated": report.bounds.rule_validated,
+        "mrc_classifier": report.bounds.mrc_classifier,
+        # ClassBounds declares its fields in the order the rows list them
+        "classes": [
+            {"class": j, **asdict(cb)}
+            for j, cb in enumerate(report.bounds.classes, start=1)
+        ],
+    }
+    yield "theorems", {
+        "applicable": report.theorems.applicable,
+        "overall_pass": report.theorems.overall_pass,
+        "bound_checks": [
+            {
+                "theorem": c.theorem,
+                "class": c.class_index,
+                "chain": list(c.chain),
+                "passed": c.passed,
+            }
+            for c in report.theorems.bound_checks
+        ],
+        "lemma_checks": (
+            {"part": c.part, "subject": c.subject, "passed": c.passed}
+            for c in report.theorems.lemma_checks
+        ),
+        "context": dict(report.theorems.context),
+    }
+
+
+def _drawn(value: object) -> object:
+    """A section value with its iterators drawn into lists: plain JSON data."""
+    if isinstance(value, Iterator):
+        return list(value)
+    if type(value) is dict:
+        return {key: _drawn(item) for key, item in value.items()}
+    return value
 
 
 @_collector_paused
@@ -330,12 +363,12 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """
     try:
         report = _rebuild(data)
-        difference = _first_difference(data, report_to_dict(report))
+        difference = _section_difference(data, report)
         # last, so a rewritten assignment is named where its stages differ
         if difference is None and report.classifier_kind == "mrc":
             best = maximal_row_classifier(report.frequency, report.tie_break, report.seed)
             difference = _first_difference(
-                data["classifier"]["assignment"], _pairs(best), "classifier.assignment"
+                data["classifier"]["assignment"], list(_pairs(best)), "classifier.assignment"
             )
     except KeyError as exc:
         raise ReportFormatError(f"malformed report: missing key {exc}") from exc
@@ -348,8 +381,21 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     return report
 
 
-def _pairs(f: RoughClassifier) -> list[list[int]]:
-    return list(map(list, enumerate(f.assignment, start=1)))
+def _pairs(f: RoughClassifier) -> Iterator[list[int]]:
+    return map(list, enumerate(f.assignment, start=1))
+
+
+def _section_difference(data: object, report: AnalysisReport) -> str | None:
+    """_first_difference(data, report_to_dict(report)), with one section
+    of the derived dict drawn at a time."""
+    derived = dict(_sections(report))
+    if type(data) is not dict or data.keys() != derived.keys():
+        return _first_difference(data, _drawn(derived))
+    for key, value in derived.items():
+        difference = _first_difference(data[key], _drawn(value), key)
+        if difference is not None:
+            return difference
+    return None
 
 
 _SCALARS = {int, bool, str, type(None)}
@@ -492,13 +538,50 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
     return _assemble(meta["source"], attributes, meta["decision"], gfm, f, kind, tie_break, seed)
 
 
+_CHUNK = 512  # list items or lines the writers lay out at a time
+_T = TypeVar("_T")
+
+
 @_collector_paused
 def report_to_json(report: AnalysisReport) -> str:
     """Canonical JSON rendering: stable key order, two-space indent.
 
     The text is exactly `json.dumps(report_to_dict(report), indent=2) + "\\n"`.
     """
-    return _json(report_to_dict(report), "") + "\n"
+    return "".join(_json_parts(report))
+
+
+def _json_parts(report: AnalysisReport) -> Iterator[str]:
+    """report_to_json's text in parts, a section at a time."""
+    yield from _object_parts(_sections(report), "")
+    yield "\n"
+
+
+def _object_parts(pairs: Iterable[tuple[str, object]], pad: str) -> Iterator[str]:
+    """`_json` of the dict with these (key, value) pairs, in parts: a
+    value at a time, an iterator as the list of its items _CHUNK at a time."""
+    inner = pad + "  "
+    lead = "{"
+    for key, value in pairs:
+        yield f"{lead}\n{inner}{_escape(key)}: "
+        lead = ","
+        if type(value) is dict:
+            yield from _object_parts(value.items(), inner)
+        elif isinstance(value, Iterator):
+            yield from _list_parts(value, inner)
+        else:
+            yield _json(value, inner)
+    yield "{}" if lead == "{" else f"\n{pad}}}"
+
+
+def _list_parts(items: Iterator[object], pad: str) -> Iterator[str]:
+    """`_json` of the list of `items`, in parts of _CHUNK items."""
+    inner = pad + "  "
+    lead = "["
+    for entries in map(_entries, _chunks(items), repeat(inner)):
+        yield f"{lead}\n{inner}{entries}"
+        lead = ","
+    yield "[]" if lead == "[" else f"\n{pad}]"
 
 
 def _json(value: object, pad: str) -> str:
@@ -523,44 +606,103 @@ def _json(value: object, pad: str) -> str:
     if kind is str:
         return _escape(value)
     inner = pad + "  "
-    sep = ",\n" + inner
     if kind is list:
-        if not value:
-            return "[]"
-        types = _types(value)
-        if types == {int}:
-            body = sep.join(map(int.__repr__, value))
-        elif types == {list} and all(value) and _types(chain.from_iterable(value)) == {int}:
-            row_pad = inner + "  "
-            rows = map(f",\n{row_pad}".join, map(map, repeat(int.__repr__), value))
-            body = f"\n{inner}]{sep}[\n{row_pad}".join(rows)
-            body = f"[\n{row_pad}{body}\n{inner}]"
-        else:
-            body = sep.join([_json(item, inner) for item in value])
-        return f"[\n{inner}{body}\n{pad}]"
+        return f"[\n{inner}{_entries(value, inner)}\n{pad}]" if value else "[]"
     if kind is dict:
         if not value:
             return "{}"
+        sep = ",\n" + inner
         body = sep.join([f"{_escape(k)}: {_json(v, inner)}" for k, v in value.items()])
         return f"{{\n{inner}{body}\n{pad}}}"
     raise TypeError(f"report JSON cannot hold a {kind.__name__}")
 
 
+def _entries(value: list[object], inner: str) -> str:
+    """The entries of a nonempty list as `_json` lays them out, between
+    its brackets."""
+    sep = ",\n" + inner
+    types = _types(value)
+    if types == {int}:
+        return sep.join(map(int.__repr__, value))
+    if types == {list} and all(value) and _types(chain.from_iterable(value)) == {int}:
+        row_pad = inner + "  "
+        rows = map(f",\n{row_pad}".join, map(map, repeat(int.__repr__), value))
+        body = f"\n{inner}]{sep}[\n{row_pad}".join(rows)
+        return f"[\n{row_pad}{body}\n{inner}]"
+    return sep.join([_json(item, inner) for item in value])
+
+
+def _chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
+    """Consecutive lists of up to _CHUNK items."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _CHUNK)), [])
+
+
+def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
+    """`sep.join(items)` in parts of _CHUNK items."""
+    parts = map(sep.join, _chunks(items))
+    yield next(parts, "")
+    for part in parts:
+        yield sep
+        yield part
+
+
 def _grid(
     corner: str,
     col_labels: list[str],
-    row_labels: list[str],
+    row_labels: Iterable[str],
     columns: Iterable[Iterable[object]],
-) -> list[str]:
-    """Lay out a table given column by column: the row labels left-aligned,
-    each value column right-aligned to its widest entry, two spaces apart."""
-    first = [corner, *row_labels]
-    padded = [map(str.ljust, first, repeat(max(map(len, first))))]
-    for label, column in zip(col_labels, columns):
-        column = [label, *map(str, column)]
-        padded.append(map(str.rjust, column, repeat(max(map(len, column)))))
+) -> Iterable[str]:
+    """Lay out a table given column by column, one line per row as it is
+    drawn: the row labels left-aligned, each value column right-aligned,
+    two spaces apart. The corner and the column labels come padded to
+    their column's widest entry, so no column is walked before the first
+    line."""
+    first = map(str.ljust, chain([corner], row_labels), repeat(len(corner)))
+    padded = [
+        map(str.rjust, chain([label], map(str, column)), repeat(len(label)))
+        for label, column in zip(col_labels, columns)
+    ]
     # the empty first field gives every line its two-space indent
-    return list(map("  ".join, zip(repeat(""), *padded)))
+    return map("  ".join, zip(repeat(""), first, *padded))
+
+
+def _count_grid(
+    prefix: str,
+    margin: str,
+    cells: tuple[tuple[int, ...], ...],
+    row_sums: tuple[int, ...],
+    col_sums: tuple[int, ...],
+    total: int,
+) -> Iterable[str]:
+    """_grid of a table of counts and its sums: rows {prefix}1.., columns
+    Y1.., and `margin` for the row sums' column and the column sums' row.
+    Counts are never negative, so each column's widest entry is its sum."""
+    row_labels = chain(map(f"{prefix}{{}}".format, range(1, len(cells) + 1)), [margin])
+    col_labels = [*map("Y{}".format, range(1, len(col_sums) + 1)), margin]
+    sums = (*col_sums, total)
+    columns = [chain(map(itemgetter(j), cells), [s]) for j, s in enumerate(col_sums)]
+    columns.append(chain(row_sums, [total]))
+    return _grid(
+        "".ljust(max(len(f"{prefix}{len(cells)}"), len(margin))),
+        list(map(str.rjust, col_labels, map(len, map(str, sums)))),
+        row_labels,
+        columns,
+    )
+
+
+def _small_grid(
+    corner: str, col_labels: list[str], row_labels: list[str], rows: list[list[object]]
+) -> Iterable[str]:
+    """_grid of a table given row by row and small enough to hold: its
+    entries made str, the corner and labels padded to their columns."""
+    columns = [list(map(str, column)) for column in zip(*rows)]
+    return _grid(
+        corner.ljust(max(map(len, row_labels))),
+        [label.rjust(max(map(len, column))) for label, column in zip(col_labels, columns)],
+        row_labels,
+        columns,
+    )
 
 
 def _frac_text(value: Fraction) -> str:
@@ -570,60 +712,63 @@ def _frac_text(value: Fraction) -> str:
 @_collector_paused
 def render_text(report: AnalysisReport) -> str:
     """Human-oriented rendering with the two matrices laid out as tables."""
+    return "".join(_text_parts(report))
+
+
+def _text_parts(report: AnalysisReport) -> Iterator[str]:
+    """render_text's text in parts; lines that grow with the table go out
+    _CHUNK at a time."""
     gfm = report.frequency
     cm = report.confusion
-    class_labels = list(map("Y{}".format, range(1, report.n_classes + 1)))
-    granule_labels = list(map("X{}".format, range(1, report.n_granules + 1)))
-
-    lines: list[str] = []
-    lines.append(f"Input: {report.source}")
-    lines.append(
-        f"  objects: {report.n_objects}   granules: {report.n_granules}"
-        f"   classes: {report.n_classes}"
-    )
-    lines.append(
+    m, k = report.n_granules, report.n_classes
+    class_labels = list(map("Y{}".format, range(1, k + 1)))
+    yield (
+        f"Input: {report.source}\n"
+        f"  objects: {report.n_objects}   granules: {m}   classes: {k}\n"
         f"  attributes: {', '.join(report.attribute_names)}"
-        f"   decision: {report.decision_name}"
+        f"   decision: {report.decision_name}\n"
     )
-    lines.append("")
-    for title, labels, partition in (
-        ("Granules", granule_labels, report.granules),
-        ("Decision classes", class_labels, report.decisions),
-    ):
-        lines.append(title)
-        members = map(", ".join, map(map, repeat(str), map(sorted, partition.blocks)))
-        lines += map("  {} = {{{}}}".format, labels, members)
-    lines.append("")
-
-    lines.append("Granule frequency matrix")
-    gfm_columns = [*zip(*gfm.cells, gfm.class_sizes), (*gfm.granule_sizes, gfm.total)]
-    lines += _grid("", class_labels + ["size"], granule_labels + ["size"], gfm_columns)
-    lines.append("")
+    yield "\nGranules\n"
+    labels = map("X{}".format, range(1, m + 1))
+    members = map(", ".join, map(map, repeat(str), map(sorted, report.granules.blocks)))
+    yield from _joined(map("  {} = {{{}}}".format, labels, members), "\n")
+    yield "\nDecision classes"
+    for label, block in zip(class_labels, report.decisions.blocks):
+        # a class line holds a share of all objects, so its ids go out in parts
+        yield f"\n  {label} = {{"
+        yield from _joined(map(str, sorted(block)), ", ")
+        yield "}"
+    yield "\n\nGranule frequency matrix\n"
+    yield from _joined(
+        _count_grid("X", "size", gfm.cells, gfm.granule_sizes, gfm.class_sizes, gfm.total),
+        "\n",
+    )
 
     if report.classifier_kind == "mrc":
-        lines.append(
-            f"Classifier: mrc (tie-break: {report.tie_break}, seed: {report.seed})"
-        )
+        classifier = f"mrc (tie-break: {report.tie_break}, seed: {report.seed})"
     else:
-        lines.append("Classifier: custom mapping")
-    pairs = map("{} -> Y{}".format, granule_labels, report.classifier.assignment)
-    lines.append(f"  assignment: {', '.join(pairs)}")
-    lines.append(
-        "  overlap rule: "
+        classifier = "custom mapping"
+    yield f"\n\nClassifier: {classifier}\n  assignment: "
+    labels = map("X{}".format, range(1, m + 1))
+    yield from _joined(map("{} -> Y{}".format, labels, report.classifier.assignment), ", ")
+    yield (
+        "\n  overlap rule: "
         + ("satisfied" if report.validation.satisfies_rule else "violated")
+        + "\n  row-maximal: "
+        + ("yes" if report.row_maximal else "no")
+        + "\n\nConfusion matrix (rows: predicted, columns: true)\n"
     )
-    lines.append("  row-maximal: " + ("yes" if report.row_maximal else "no"))
-    lines.append("")
+    yield from _joined(
+        _count_grid("Y", "sum", cm.cells, cm.row_sums, cm.col_sums, cm.total), "\n"
+    )
 
-    lines.append("Confusion matrix (rows: predicted, columns: true)")
-    cm_columns = [*zip(*cm.cells, cm.col_sums), (*cm.row_sums, cm.total)]
-    lines += _grid("", class_labels + ["sum"], class_labels + ["sum"], cm_columns)
-    lines.append("")
-
-    lines.append("Quality indices")
-    lines.append(f"  gamma (approximation quality): {_frac_text(report.approximation.gamma)}")
-    lines.append(f"  success ratio: {_frac_text(report.success)}")
-    lines.append(f"  alpha (aggregate accuracy): {_frac_text(report.alpha_overall)}")
+    yield "\n\n"
+    lines = [
+        "Quality indices",
+        f"  gamma (approximation quality): {_frac_text(report.approximation.gamma)}",
+        f"  success ratio: {_frac_text(report.success)}",
+        f"  alpha (aggregate accuracy): {_frac_text(report.alpha_overall)}",
+    ]
     index_rows = [
         [
             approx.size,
@@ -636,11 +781,11 @@ def render_text(report: AnalysisReport) -> str:
         ]
         for approx, alpha in zip(report.approximation.classes, report.alpha_hat)
     ]
-    lines += _grid(
+    lines += _small_grid(
         "class",
         ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"],
         class_labels,
-        zip(*index_rows),
+        index_rows,
     )
     lines.append("")
 
@@ -662,11 +807,11 @@ def render_text(report: AnalysisReport) -> str:
         ]
         for cb in report.bounds.classes
     ]
-    lines += _grid(
+    lines += _small_grid(
         "class",
         ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"],
         class_labels,
-        zip(*bound_rows),
+        bound_rows,
     )
     lines.append("")
 
@@ -691,4 +836,5 @@ def render_text(report: AnalysisReport) -> str:
             )
         for c in failed_lemmas:
             lines.append(f"  FAILED lemma part {c.part}, subject {c.subject}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    yield "\n".join(lines)

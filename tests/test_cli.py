@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from roughcm import CsvFormatError
-from roughcm.cli import ingest_csv, main
+from roughcm import CsvFormatError, analyze_decision_system, render_text, report_to_json
+from roughcm import cli
+from roughcm.cli import ingest_csv, main, write_report
 
 from conftest import TV_HEADER, TV_ROWS
 
@@ -18,6 +21,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# csv.reader refuses a field over its limit of 131,072 characters
+LONG_FIELD = "x" * 131_073 + ",y"
 
 
 def write_csv(tmp_path, name, lines):
@@ -63,6 +70,65 @@ class TestIngestCsv:
             path.write_text("", encoding="utf-8")
         with pytest.raises(CsvFormatError, match=message):
             ingest_csv(path)
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            # a line the csv module refuses wins over every later check,
+            # wherever it sits; it cannot share a file with no lines (2)
+            (["justone", "x", LONG_FIELD], "line 3: field larger"),
+            ([",d", "x,y", LONG_FIELD], "line 3: field larger"),
+            (["a,a", "x,y", LONG_FIELD], "line 3: field larger"),
+            (["a,a", LONG_FIELD], "line 2: field larger"),
+            (["a,d", "x", "y,z", "w,", LONG_FIELD], "line 5: field larger"),
+            # an empty file (2) has no header to fault (3)
+            (['""', "x"], "at least two columns"),
+            (["a", "x,y"], "at least two columns"),
+            ([",a,a", "x,y,z"], "empty column name"),
+            ([",d", "x"], "empty column name"),
+            (["a,a"], "duplicate column name"),
+            (["a,a", "x"], "duplicate column name"),
+            # no data rows (6) leaves no row to be ragged (7)
+            (["a,d", "x,y", "x,y", "z", "w,"], "row 3 has 1 cells, expected 2"),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [1, 2, 8192])
+    def test_faults_keep_their_precedence(
+        self, monkeypatch, tmp_path, lines, message, chunk
+    ):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = write_csv(tmp_path, "bad.csv", lines)
+        with pytest.raises(CsvFormatError, match=message):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("number", [2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "cells,message",
+        [
+            ("z", "row {} has 1 cells, expected 2"),
+            ("z,", "row {}, column 'd' is empty"),
+            (",z", "row {}, column 'a' is empty"),
+        ],
+    )
+    def test_a_bad_row_is_named_on_either_side_of_a_chunk_boundary(
+        self, monkeypatch, tmp_path, number, cells, message
+    ):
+        # three rows to a chunk: rows 3 and 4 sit on either side of a boundary
+        monkeypatch.setattr(cli, "_CHUNK", 3)
+        rows = [f"x{i},y{i % 2}" for i in range(1, 9)]
+        rows[number - 1] = cells
+        rows[number] = "later,"  # a second fault after the first one
+        path = write_csv(tmp_path, "bad.csv", ["a,d", *rows])
+        with pytest.raises(CsvFormatError, match=message.format(number)):
+            ingest_csv(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 6, 7])
+    def test_the_chunk_size_changes_nothing(self, monkeypatch, tv_csv, chunk):
+        whole = ingest_csv(tv_csv)
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        chunked = ingest_csv(tv_csv)
+        assert chunked == whole
+        assert chunked.decision_attribute.values[6] == "low"
 
     def test_unknown_decision_column(self, tv_csv):
         with pytest.raises(CsvFormatError, match="unknown decision column 'nope'"):
@@ -178,6 +244,45 @@ class TestAnalyzeCommand:
         assert err == (
             f"roughcm: error: {path}: line 3: field larger than field limit (131072)\n"
         )
+
+
+class _Discard:
+    """A text sink that keeps only the count of what it is given."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+
+class TestWriteReport:
+    @pytest.fixture(scope="class")
+    def fine_report(self, tmp_path_factory):
+        """20,000 rows shaped like the benchmark's fine table: four
+        attributes of 20 values and 5 classes, about 18,800 granules."""
+        rng = random.Random(20)
+        lines = ["a1,a2,a3,a4,d"]
+        for _ in range(20_000):
+            values = [f"v{rng.randrange(20)}" for _ in range(4)]
+            lines.append(",".join([*values, f"c{rng.randrange(5)}"]))
+        path = tmp_path_factory.mktemp("fine") / "fine.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return analyze_decision_system(ingest_csv(path))
+
+    @pytest.mark.parametrize("fmt,whole", [("json", report_to_json), ("text", render_text)])
+    def test_the_writer_holds_a_small_share_of_the_output(self, fine_report, fmt, whole):
+        length = len(whole(fine_report))
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_report(fine_report, fmt, sink)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sink.written == length
+        assert peak <= length / 4
 
 
 class TestClassifierFiles:

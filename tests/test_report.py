@@ -228,6 +228,13 @@ _json_values = st.recursive(
 )
 
 
+def _lazy(value):
+    """`value` with every list that a dict holds given as an iterator."""
+    if type(value) is not dict:
+        return value
+    return {k: iter(v) if type(v) is list else _lazy(v) for k, v in value.items()}
+
+
 class TestJsonWriter:
     """report_to_json's writer lays values out exactly as json.dumps(indent=2)."""
 
@@ -243,6 +250,14 @@ class TestJsonWriter:
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
             _json(value, "")
+
+    @given(st.dictionaries(st.text(), _json_values), st.integers(1, 3))
+    @example({"a": [], "b": {"c": [[1], [2, 3], [4]]}, "d": {}}, 2)
+    def test_lists_given_as_iterators_are_written_in_chunks(self, value, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(report_module, "_CHUNK", chunk)
+            parts = report_module._object_parts(_lazy(value).items(), "")
+            assert "".join(parts) == json.dumps(value, indent=2)
 
 
 def _medium_table(n_values: int, seed: int):
@@ -386,6 +401,25 @@ class TestRenderText:
         assert "size" in gfm_block
         cm_block = text.split("Confusion matrix")[1].split("\n\n")[0]
         assert "sum" in cm_block
+
+
+class TestChunkBoundaries:
+    """The writers lay out _CHUNK lines or list items at a time; with 4 to a
+    chunk, m = 1..5 granules put the member lines, the assignment line, the
+    gfm grid's m + 2 lines and each of the report's lists one short of, at
+    and one past a chunk boundary."""
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_chunked_output_equals_one_chunk(self, monkeypatch, m):
+        # granule {i, i + m} for i <= m; classes {1..m} and {m+1..2m}
+        rows = [(f"v{i % m}", "y" if i <= m else "z") for i in range(1, 2 * m + 1)]
+        report = analyze_decision_system(build_system(("a", "d"), rows))
+        assert report.n_granules == m
+        text, as_json = render_text(report), report_to_json(report)
+        monkeypatch.setattr(report_module, "_CHUNK", 4)
+        assert render_text(report) == text
+        assert report_to_json(report) == as_json
+        assert as_json == json.dumps(report_to_dict(report), indent=2) + "\n"
 
 
 def _drop(*path):

@@ -7,18 +7,21 @@ class it is mapped to, i.e. at least one member of the granule is
 classified correctly. The maximal row classifier picks, for each granule,
 a class with the highest frequency count; it satisfies the overlap rule by
 construction and maximizes the success ratio among all rough classifiers.
+
+classifier_from_text reads a mapping file in one of two ways. A file whose
+lines are all blank or two indices apart is checked whole, a rule to a
+pass over all its numbers; any other file, or one that a rule refuses, is
+read line by line, which names its first faulty line.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, compress, count, filterfalse, repeat
-from operator import eq, itemgetter, not_
+from itertools import filterfalse
 
 from .errors import ClassifierFileError, _listed
 from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, _require_shapes
@@ -157,19 +160,12 @@ def classifier_to_text(f: RoughClassifier) -> str:
 
 
 _COMMENT = re.compile("#[^\n]*")
-_MAX_DIGITS = 4300  # int() refuses longer digit strings by default
-_INDEX = rf"-?[0-9]{{1,{_MAX_DIGITS}}}"
-_INDEX_PAIR = re.compile(rf"{_INDEX} {_INDEX}")
+_INDEX = "-?[0-9]{1,4300}"  # int() refuses longer digit strings by default
 # A line that is neither blank nor two indices apart; spacing other than
 # ASCII space, tab and CR also matches, and is then judged line by line.
 _ODD_LINE = re.compile(
     rf"^(?![ \t\r]*(?:{_INDEX}[ \t\r]+{_INDEX}[ \t\r]*)?$)", re.MULTILINE
 )
-
-
-def _first_fault(flags: Iterable[object]) -> int | None:
-    """Index of the first falsy flag, None if there is none."""
-    return next(compress(count(), map(not_, flags)), None)
 
 
 def classifier_from_text(text: str, n_granules: int, n_classes: int) -> RoughClassifier:
@@ -181,44 +177,40 @@ def classifier_from_text(text: str, n_granules: int, n_classes: int) -> RoughCla
     faulty line and the first rule it breaks.
     """
     body = _COMMENT.sub("", text)
-    # Each rule is tested on the whole file at once and line by line only
-    # where that test fails, on the lines before the first fault found so
-    # far; rules run in the order a line-by-line reader checks them, so the
-    # fault left standing is the first faulty line's first broken rule.
-    fault = None
+    assigned = None
     if _ODD_LINE.search(body) is None:
-        tokens = body.split()
-    else:
-        rows = list(filter(None, map(str.split, body.split("\n"))))
-        at = _first_fault(map(eq, map(len, rows), repeat(2)))
-        if at is not None:
-            fault = f"expected two fields, got {len(rows[at])}"
-            del rows[at:]
-        at = _first_fault(map(_INDEX_PAIR.fullmatch, map(" ".join, rows)))
-        if at is not None:
-            fault = "indices must be integers"
-            del rows[at:]
-        tokens = list(chain.from_iterable(rows))
-    numbers = list(map(int, tokens))
-    granules, classes = numbers[0::2], numbers[1::2]
-    for name, values, size in (
-        ("granule", granules, n_granules),
-        ("class", classes, n_classes),
-    ):
-        if not (1 <= min(values, default=1) and max(values, default=0) <= size):
-            at = _first_fault(map(range(1, size + 1).__contains__, values))
-            fault = f"{name} index {values[at]} out of range 1..{size}"
-            del granules[at:], classes[at:]
-    if len(set(granules)) < len(granules):
-        # setdefault hands back the row a granule first appeared in
-        at = _first_fault(map(eq, map({}.setdefault, granules, count()), count()))
-        fault = f"granule {granules[at]} assigned twice"
-        del granules[at:], classes[at:]
-    if fault is not None:
-        fields = map(str.split, body.split("\n"))
-        lineno = list(compress(count(1), fields))[len(granules)]
-        raise ClassifierFileError(f"line {lineno}: {fault}")
-    assigned = dict(zip(granules, classes))
+        numbers = list(map(int, body.split()))
+        granules, classes = numbers[0::2], numbers[1::2]
+        if (
+            1 <= min(granules, default=1)
+            and max(granules, default=0) <= n_granules
+            and 1 <= min(classes, default=1)
+            and max(classes, default=0) <= n_classes
+            and len(set(granules)) == len(granules)
+        ):
+            assigned = dict(zip(granules, classes))
+    if assigned is None:
+        # line by line, each line's rules in order, to name the first fault
+        assigned = {}
+        for lineno, fields in enumerate(map(str.split, body.split("\n")), start=1):
+            if not fields:
+                continue
+            if len(fields) != 2:
+                fault = f"expected two fields, got {len(fields)}"
+            elif not all(re.fullmatch(_INDEX, field) for field in fields):
+                fault = "indices must be integers"
+            else:
+                granule, cls = map(int, fields)
+                if not 1 <= granule <= n_granules:
+                    fault = f"granule index {granule} out of range 1..{n_granules}"
+                elif not 1 <= cls <= n_classes:
+                    fault = f"class index {cls} out of range 1..{n_classes}"
+                elif granule in assigned:
+                    fault = f"granule {granule} assigned twice"
+                else:
+                    assigned[granule] = cls
+                    continue
+            raise ClassifierFileError(f"line {lineno}: {fault}")
     missing = list(filterfalse(assigned.__contains__, range(1, n_granules + 1)))
     if missing:
         raise ClassifierFileError(f"no assignment for granule(s) {_listed(missing)}")

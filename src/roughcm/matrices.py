@@ -164,26 +164,16 @@ def predictor_set(
     The predictor set is this classifier's stand-in for the class: every
     object inside it receives that prediction.
     """
-    picked = _granules_by_class(f, granules)
-    if not 1 <= class_index <= f.n_classes:
-        raise IndexError(f"class index {class_index} out of range 1..{f.n_classes}")
-    return frozenset().union(*picked[class_index - 1])
-
-
-def _granules_by_class(
-    f: RoughClassifier, granules: Partition
-) -> list[list[ObjectSet]]:
-    """The granules `f` maps to each class, from one grouping pass; the
-    union of entry j - 1 is the predictor set of class j."""
     if len(f.assignment) != len(granules.blocks):
         raise ShapeMismatchError(
             f"classifier assigns {len(f.assignment)} granules, "
             f"partition has {len(granules.blocks)}"
         )
-    picked: list[list[ObjectSet]] = [[] for _ in range(f.n_classes)]
-    for block, cls in zip(granules.blocks, f.assignment):
-        picked[cls - 1].append(block)
-    return picked
+    if not 1 <= class_index <= f.n_classes:
+        raise IndexError(f"class index {class_index} out of range 1..{f.n_classes}")
+    return frozenset().union(
+        *(block for block, cls in zip(granules.blocks, f.assignment) if cls == class_index)
+    )
 
 
 def confusion_matrix(

@@ -46,7 +46,7 @@ from .indices import BoundsReport, confusion_bounds
 from .matrices import (
     GranuleFrequencyMatrix,
     RoughConfusionMatrix,
-    _granules_by_class,
+    _require_shapes,
     confusion_matrix,
     granule_frequency_matrix,
 )
@@ -282,13 +282,15 @@ def verify_theorems(
     The lemma checks cover the three consequences of the overlap rule: a
     granule inside a class must be mapped to it, lower approximations sit
     inside predictor sets, and a zero diagonal cell forces its whole row
-    to zero.
+    to zero. Where the checks apply, a classifier whose shape does not fit
+    the matrix raises ShapeMismatchError.
     """
     granules, decisions = gfm.granules, gfm.decisions
     ctx = dict(context or {})
     if not bounds.rule_validated:
         ctx.setdefault("status", "not-applicable: overlap rule violated")
         return TheoremReport(False, (), (), ctx)
+    _require_shapes(f, gfm)
 
     # one oracle pass per class serves theorem 1 and lemma part 2
     true_lower = [oracle_lower(granules, cls) for cls in decisions.blocks]
@@ -312,10 +314,11 @@ def verify_theorems(
         )
         if size in row
     ]
-    # predictor sets are built one at a time, so only one is held at once
-    picked = _granules_by_class(f, granules)
-    for j, (low, blocks) in enumerate(zip(true_lower, picked), start=1):
-        lemma_checks.append(LemmaCheck(2, j, low <= frozenset().union(*blocks)))
+    # x lies in class j's predictor set exactly when f maps x's granule to j
+    assignment, block_index = f.assignment, granules.block_index
+    for j, low in enumerate(true_lower, start=1):
+        predicted = set(map(assignment.__getitem__, map(block_index.__getitem__, low)))
+        lemma_checks.append(LemmaCheck(2, j, predicted <= {j}))
     for i, row in enumerate(cm.cells):
         if row[i] == 0:
             lemma_checks.append(LemmaCheck(3, i + 1, not any(row)))

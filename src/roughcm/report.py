@@ -11,21 +11,24 @@ sections in order (input, granules, decision_classes, granule_matrix,
 classifier, confusion_matrix, indices, bounds, theorems), where each list
 that grows with the table (the partitions, the gfm rows and granule
 sizes, the assignment, the lemma checks) is an iterator of its items.
-report_to_dict draws the sections into one dict. report_to_json writes
-exactly json.dumps(report_to_dict(r), indent=2) and a newline, with its
-own writer that handles only the JSON types the dict holds: a section
-at a time, and those lists _CHUNK items at a time. render_text likewise
-makes its text in parts, the lines that grow with the table _CHUNK at a
-time and a decision class's ids _CHUNK at a time. Both join their parts;
-the command line writes the parts as they come, so neither the whole
-dict nor the whole text is ever held.
+report_to_dict draws the sections into one dict. Saving and loading each
+make one walk over that form. report_to_json writes exactly
+json.dumps(report_to_dict(r), indent=2) and a newline through one writer,
+_parts, that handles only the JSON types the dict holds: a dict a value
+at a time, an iterator _CHUNK items at a time. render_text likewise makes
+its text in parts, the lines that grow with the table _CHUNK at a time
+and a decision class's ids _CHUNK at a time. Both join their parts; the
+command line writes the parts as they come, so neither the whole dict nor
+the whole text is ever held.
 
 report_from_dict reads only the facts (the partitions, the assignment
 and the provenance), requires each to have its JSON type, and passes
 them through the assembly analyze_decision_system uses, the theorem
 verifier included; the stored dict must then equal the rebuilt report's
-dict, JSON type for JSON type, compared one section at a time. A dict
-loads exactly when it is what saving its report writes.
+dict, JSON type for JSON type. One comparison, _difference, walks the
+stored dict and the sections together and draws each derived list only
+when it reaches it. A dict loads exactly when it is what saving its
+report writes.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import reprlib
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, count, filterfalse, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _escape
 from operator import attrgetter, eq, itemgetter
 from typing import TypeVar
@@ -249,8 +252,8 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     """The report's JSON form, one top-level (key, value) section at a time.
 
     The only description of that form: report_to_dict draws it whole,
-    report_to_json writes it and report_from_dict compares against it a
-    section at a time. Each list whose length grows with the table (the
+    _parts writes it and _difference compares a stored dict against it,
+    each in one walk. Each list whose length grows with the table (the
     partitions, the gfm rows and granule sizes, the assignment and the
     lemma checks) is given as an iterator of its items, so a section is
     cheap until its lists are drawn or written.
@@ -363,12 +366,12 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """
     try:
         report = _rebuild(data)
-        difference = _section_difference(data, report)
+        difference = _difference(data, dict(_sections(report)))
         # last, so a rewritten assignment is named where its stages differ
         if difference is None and report.classifier_kind == "mrc":
             best = maximal_row_classifier(report.frequency, report.tie_break, report.seed)
-            difference = _first_difference(
-                data["classifier"]["assignment"], list(_pairs(best)), "classifier.assignment"
+            difference = _difference(
+                data["classifier"]["assignment"], _pairs(best), "classifier.assignment"
             )
     except KeyError as exc:
         raise ReportFormatError(f"malformed report: missing key {exc}") from exc
@@ -385,93 +388,77 @@ def _pairs(f: RoughClassifier) -> Iterator[list[int]]:
     return map(list, enumerate(f.assignment, start=1))
 
 
-def _section_difference(data: object, report: AnalysisReport) -> str | None:
-    """_first_difference(data, report_to_dict(report)), with one section
-    of the derived dict drawn at a time."""
-    derived = dict(_sections(report))
-    if type(data) is not dict or data.keys() != derived.keys():
-        return _first_difference(data, _drawn(derived))
-    for key, value in derived.items():
-        difference = _first_difference(data[key], _drawn(value), key)
-        if difference is not None:
-            return difference
-    return None
-
-
 _SCALARS = {int, bool, str, type(None)}
 
 
-def _same(stored: object, derived: object) -> bool:
-    """JSON equality that tells the types apart: 1, 1.0 and true differ.
+def _difference(stored: object, derived: object, path: str = "") -> str | None:
+    """Name the first item, by dotted path, where a stored JSON value
+    differs from the derived one; None when they are the same.
 
-    A list of one scalar type, or of lists of ints, is compared with one
-    `==` and one type pass, with no Python call per item; a list of dicts
-    that share their keys is compared column by column, so each column
-    can take the same path.
+    The JSON types are told apart: 1, 1.0 and true differ. A derived
+    iterator is drawn into a list only when the walk reaches it. Lists of
+    different lengths are named with both lengths and the index of their
+    first differing entry. A list of one scalar type, or of lists of ints,
+    is first compared with one `==` and one type pass, with no Python call
+    per item; a list of dicts that share their keys is compared column by
+    column, so each column can take the same path. A list is walked item
+    by item only when these find a difference or do not apply.
     """
+    if isinstance(derived, Iterator):
+        derived = list(derived)
     kind = type(derived)
-    if type(stored) is not kind:
-        return False
-    if kind is dict:
-        return stored.keys() == derived.keys() and all(
-            map(_same, map(stored.__getitem__, derived), derived.values())
-        )
-    if kind is not list:
-        return stored == derived
-    if len(stored) != len(derived):
-        return False
-    types = _types(derived)
-    if len(types) < 2 and types <= _SCALARS:
-        return stored == derived and _types(stored) <= types
-    if types == {list} and _types(chain.from_iterable(derived)) <= {int}:
+    where = path or "top level"
+    if type(stored) is not kind or kind not in (dict, list):
+        if type(stored) is kind and stored == derived:
+            return None
         return (
-            stored == derived
-            and _types(stored) == types
-            and _types(chain.from_iterable(stored)) <= {int}
+            f"{where} is {reprlib.repr(stored)}, "
+            f"the report derives {reprlib.repr(_drawn(derived))}"
         )
-    if types == {dict} and _types(stored) == types:
-        keys = derived[0].keys()
-        if all(map(eq, map(dict.keys, chain(stored, derived)), repeat(keys))):
-            return all(
-                _same(list(map(itemgetter(key), stored)), list(map(itemgetter(key), derived)))
-                for key in keys
-            )
-    return all(map(_same, stored, derived))
-
-
-def _first_difference(stored: object, derived: object, path: str = "") -> str | None:
-    """Name the first item, by dotted path, where two JSON values differ
-    (see _same); None when they are the same. Lists of different lengths
-    are named with both lengths and the index of their first differing
-    entry."""
-    if _same(stored, derived):
-        return None
-    while True:
-        where = path or "top level"
-        if type(stored) is dict and type(derived) is dict:
-            if stored.keys() != derived.keys():
-                unknown = _key_list(stored.keys() - derived.keys())
-                missing = _key_list(derived.keys() - stored.keys())
-                return f"{where}: unknown keys {unknown}, missing keys {missing}"
-            key = next(k for k in derived if not _same(stored[k], derived[k]))
-        elif type(stored) is list and type(derived) is list:
-            # past the shorter list's end when it is a prefix of the other
-            key = next(
-                (i for i, pair in enumerate(zip(stored, derived)) if not _same(*pair)),
-                min(len(stored), len(derived)),
-            )
-            if len(stored) != len(derived):
-                return (
-                    f"{where} has {len(stored)} entries, the report derives "
-                    f"{len(derived)}; they first differ at entry {key}"
-                )
-        else:
-            return (
-                f"{where} is {reprlib.repr(stored)}, "
-                f"the report derives {reprlib.repr(derived)}"
-            )
-        path = f"{path}.{key}" if path else str(key)
-        stored, derived = stored[key], derived[key]
+    if kind is dict:
+        if stored.keys() != derived.keys():
+            unknown = _key_list(stored.keys() - derived.keys())
+            missing = _key_list(derived.keys() - stored.keys())
+            return f"{where}: unknown keys {unknown}, missing keys {missing}"
+        entries = zip(derived, map(stored.__getitem__, derived), derived.values())
+    else:
+        if len(stored) == len(derived):
+            types = _types(derived)
+            if len(types) < 2 and types <= _SCALARS:
+                if stored == derived and _types(stored) <= types:
+                    return None
+            elif types == {list} and _types(chain.from_iterable(derived)) <= {int}:
+                if (
+                    stored == derived
+                    and _types(stored) == types
+                    and _types(chain.from_iterable(stored)) <= {int}
+                ):
+                    return None
+            elif types == {dict} and _types(stored) == types:
+                keys = derived[0].keys()
+                if all(map(eq, map(dict.keys, chain(stored, derived)), repeat(keys))):
+                    columns = (
+                        (list(map(column, stored)), list(map(column, derived)))
+                        for column in map(itemgetter, keys)
+                    )
+                    if not any(starmap(_difference, columns)):
+                        return None
+        entries = zip(count(), stored, derived)
+    prefix = f"{path}." if path else ""
+    difference = None
+    for key, stored_item, derived_item in entries:
+        difference = _difference(stored_item, derived_item, f"{prefix}{key}")
+        if difference is not None:
+            break
+    else:
+        # past the shorter list's end when it is a prefix of the other
+        key = min(len(stored), len(derived))
+    if len(stored) != len(derived):
+        return (
+            f"{where} has {len(stored)} entries, the report derives "
+            f"{len(derived)}; they first differ at entry {key}"
+        )
+    return difference
 
 
 def _key_list(keys: Iterable[object]) -> str:
@@ -552,36 +539,30 @@ def report_to_json(report: AnalysisReport) -> str:
 
 
 def _json_parts(report: AnalysisReport) -> Iterator[str]:
-    """report_to_json's text in parts, a section at a time."""
-    yield from _object_parts(_sections(report), "")
+    """report_to_json's text in parts, a section value at a time."""
+    yield from _parts(dict(_sections(report)), "")
     yield "\n"
 
 
-def _object_parts(pairs: Iterable[tuple[str, object]], pad: str) -> Iterator[str]:
-    """`_json` of the dict with these (key, value) pairs, in parts: a
-    value at a time, an iterator as the list of its items _CHUNK at a time."""
+def _parts(value: object, pad: str) -> Iterator[str]:
+    """`_json(value, pad)` in parts: a dict a value at a time, an iterator
+    as the list of its items _CHUNK at a time, anything else whole."""
     inner = pad + "  "
-    lead = "{"
-    for key, value in pairs:
-        yield f"{lead}\n{inner}{_escape(key)}: "
-        lead = ","
-        if type(value) is dict:
-            yield from _object_parts(value.items(), inner)
-        elif isinstance(value, Iterator):
-            yield from _list_parts(value, inner)
-        else:
-            yield _json(value, inner)
-    yield "{}" if lead == "{" else f"\n{pad}}}"
-
-
-def _list_parts(items: Iterator[object], pad: str) -> Iterator[str]:
-    """`_json` of the list of `items`, in parts of _CHUNK items."""
-    inner = pad + "  "
-    lead = "["
-    for entries in map(_entries, _chunks(items), repeat(inner)):
-        yield f"{lead}\n{inner}{entries}"
-        lead = ","
-    yield "[]" if lead == "[" else f"\n{pad}]"
+    if type(value) is dict:
+        lead = "{"
+        for key, item in value.items():
+            yield f"{lead}\n{inner}{_escape(key)}: "
+            lead = ","
+            yield from _parts(item, inner)
+        yield "{}" if lead == "{" else f"\n{pad}}}"
+    elif isinstance(value, Iterator):
+        lead = "["
+        for entries in map(_entries, _chunks(value), repeat(inner)):
+            yield f"{lead}\n{inner}{entries}"
+            lead = ","
+        yield "[]" if lead == "[" else f"\n{pad}]"
+    else:
+        yield _json(value, pad)
 
 
 def _json(value: object, pad: str) -> str:

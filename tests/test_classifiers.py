@@ -264,7 +264,10 @@ class TestMrcOptimality:
             )
 
 
-_ATOMS = ["1", "2", "3", "4", "0", "-1", "01", "x", " ", "\t", "\n", "\n", "\r\n", "# c"]
+_ATOMS = [
+    "1", "2", "3", "4", "0", "-1", "01", "+1", "x", "\u0661",
+    " ", "\t", "\xa0", "\x0c", "\u2028", "\n", "\n", "\r\n", "# c",
+]
 
 
 def _read_lines(text, n_granules, n_classes):

@@ -15,7 +15,9 @@ from roughcm import (
     GeneratorConfigError,
     InstanceTooLargeError,
     RoughClassifier,
+    ShapeMismatchError,
     TieBreak,
+    ValidationReport,
     confusion_bounds,
     confusion_matrix,
     decision_partition,
@@ -292,6 +294,46 @@ class TestVerifyTheorems:
         f = maximal_row_classifier(gfm)
         report = verify_on(tv_system, ("Price",), f, context={"label": "smoke"})
         assert report.context["label"] == "smoke"
+
+    @pytest.mark.parametrize(
+        "assignment,failed_lemmas",
+        [
+            ((1, 2, 2, 1), [(1, 2), (1, 4), (2, 1), (2, 2)]),
+            ((2, 2, 1, 2), [(1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]),
+        ],
+    )
+    def test_a_rule_breaking_classifier_fails_the_checks_it_breaks(
+        self, assignment, failed_lemmas
+    ):
+        # granules {1, 2}, {3, 4}, {5}, {6}; classes p = {1, 3, 4}, q = {2, 5, 6}
+        ds = build_system(("a", "d"), list(zip("xxyyzw", "pqppqq")))
+        granules = partition_by_attributes(ds, ("a",))
+        gfm = granule_frequency_matrix(granules, decision_partition(ds))
+        assert gfm.cells == ((1, 1), (2, 0), (0, 1), (0, 1))
+        f = RoughClassifier(assignment, 2)
+        cm = confusion_matrix(gfm, f)
+        # bounds that claim the rule holds, so that every check applies
+        bounds = confusion_bounds(cm, ValidationReport(()), is_mrc=False)
+        report = verify_theorems(gfm, f, cm, bounds)
+        assert report.applicable and not report.overall_pass
+        failed = [(c.part, c.subject) for c in report.lemma_checks if not c.passed]
+        assert failed == failed_lemmas
+        failed = [(c.theorem, c.class_index) for c in report.bound_checks if not c.passed]
+        assert failed == [(1, 1), (2, 1), (1, 2), (2, 2)]
+
+    def test_a_classifier_of_the_wrong_length_is_refused_where_checks_apply(
+        self, tv_system
+    ):
+        granules = partition_by_attributes(tv_system, ("Price", "Screen"))
+        gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
+        f = maximal_row_classifier(gfm)
+        cm = confusion_matrix(gfm, f)
+        short = RoughClassifier(f.assignment[:-1], gfm.k)
+        skipped = confusion_bounds(cm, ValidationReport((1,)), is_mrc=False)
+        assert not verify_theorems(gfm, short, cm, skipped).applicable
+        bounds = confusion_bounds(cm, ValidationReport(()), is_mrc=True)
+        with pytest.raises(ShapeMismatchError, match="classifier assigns 3 granules"):
+            verify_theorems(gfm, short, cm, bounds)
 
 
 class TestFuzzTrials:

@@ -256,7 +256,7 @@ class TestJsonWriter:
     def test_lists_given_as_iterators_are_written_in_chunks(self, value, chunk):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(report_module, "_CHUNK", chunk)
-            parts = report_module._object_parts(_lazy(value).items(), "")
+            parts = report_module._parts(_lazy(value), "")
             assert "".join(parts) == json.dumps(value, indent=2)
 
 

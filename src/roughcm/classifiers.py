@@ -160,11 +160,16 @@ def classifier_to_text(f: RoughClassifier) -> str:
 
 
 _COMMENT = re.compile("#[^\n]*")
-_INDEX = "-?[0-9]{1,4300}"  # int() refuses longer digit strings by default
-# A line that is neither blank nor two indices apart; spacing other than
-# ASCII space, tab and CR also matches, and is then judged line by line.
+_INDEX = "-?[0-9]+"
+# The whole-file test passes indices of at most _DIGITS digits, which int()
+# converts under any digit limit (the least it can be set to is 640), and a
+# message echoes at most _DIGITS characters of an index.
+_DIGITS = 20
+# A line that is neither blank nor two short indices apart; spacing other
+# than ASCII space, tab and CR also matches, and is then judged line by line.
+_SHORT_INDEX = f"-?[0-9]{{1,{_DIGITS}}}"
 _ODD_LINE = re.compile(
-    rf"^(?![ \t\r]*(?:{_INDEX}[ \t\r]+{_INDEX}[ \t\r]*)?$)", re.MULTILINE
+    rf"^(?![ \t\r]*(?:{_SHORT_INDEX}[ \t\r]+{_SHORT_INDEX}[ \t\r]*)?$)", re.MULTILINE
 )
 
 
@@ -200,11 +205,11 @@ def classifier_from_text(text: str, n_granules: int, n_classes: int) -> RoughCla
             elif not all(re.fullmatch(_INDEX, field) for field in fields):
                 fault = "indices must be integers"
             else:
-                granule, cls = map(int, fields)
+                (granule, granule_text), (cls, cls_text) = map(_index, fields)
                 if not 1 <= granule <= n_granules:
-                    fault = f"granule index {granule} out of range 1..{n_granules}"
+                    fault = f"granule index {granule_text} out of range 1..{n_granules}"
                 elif not 1 <= cls <= n_classes:
-                    fault = f"class index {cls} out of range 1..{n_classes}"
+                    fault = f"class index {cls_text} out of range 1..{n_classes}"
                 elif granule in assigned:
                     fault = f"granule {granule} assigned twice"
                 else:
@@ -217,3 +222,20 @@ def classifier_from_text(text: str, n_granules: int, n_classes: int) -> RoughCla
     return RoughClassifier(
         tuple(map(assigned.__getitem__, range(1, n_granules + 1))), n_classes
     )
+
+
+def _index(field: str) -> tuple[int, str]:
+    """The value of a `-?[0-9]+` field and its text in a message.
+
+    The text is str(value), cut after _DIGITS characters and then counted.
+    A value with more digits than int() converts under the interpreter's
+    limit (sys.get_int_max_str_digits()) lies beyond every 1..n range, so
+    it reads as 0, which is out of range too.
+    """
+    digits = field.lstrip("-").lstrip("0") or "0"
+    text = "-" + digits if field[0] == "-" and digits != "0" else digits
+    shown = text if len(text) <= _DIGITS else f"{text[:_DIGITS]}... ({len(digits)} digits)"
+    try:
+        return int(text), shown
+    except ValueError:
+        return 0, shown

@@ -23,8 +23,11 @@ Mapping from id to token, for an ingested table a read-only view of its
 column. A partition is built from labels: one pass over the objects in
 ascending id order numbers each distinct key by its first occurrence, so
 a block's label is its rank by smallest member, which is the canonical
-block order, and the blocks need no sorting. The same object-to-block labels (`Partition.block_index`) count
-the granule frequency matrix.
+block order, and the blocks need no sorting. The same object-to-block
+labels (`Partition.block_index`) count the granule frequency matrix. A
+partition keeps each block once, as the ascending tuple of its members;
+the blocks as frozensets (`Partition.blocks`) are built only when read,
+and nothing on the analysis path, the writers included, reads them.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely.
@@ -37,7 +40,7 @@ import gc
 from collections import defaultdict, deque
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, filterfalse
 from typing import ParamSpec, TypeVar
 
 from .errors import (
@@ -202,31 +205,35 @@ class DecisionSystem:
         return tuple(a.name for a in self.condition_attributes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Partition:
     """Pairwise disjoint, nonempty blocks in canonical order.
 
     Blocks are sorted by their smallest member on construction, so every
     matrix and report derived from a partition is reproducible byte for
-    byte regardless of how the blocks were supplied. The constructor also
-    maps each object to the 0-based index of its block (`block_index`);
-    the universe is that map's key set.
+    byte regardless of how the blocks were supplied. Each block is stored
+    once, as the ascending tuple of its members (`_members`); `blocks`,
+    the same blocks as frozensets, is built on first read. The
+    constructor also maps each object to the 0-based index of its block
+    (`block_index`); the universe is that map's key set. Two partitions
+    are equal when their member tuples are.
     """
 
-    blocks: tuple[ObjectSet, ...]
-    block_index: Mapping[int, int] = field(init=False, repr=False, compare=False)
+    _members: tuple[tuple[int, ...], ...]
+    block_index: Mapping[int, int] = field(compare=False)
 
-    def __post_init__(self) -> None:
-        blocks = tuple(frozenset(block) for block in self.blocks)
-        if not blocks:
+    def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
+        sets = list(map(set, blocks))
+        if not sets:
             raise ValueError("a partition needs at least one block")
-        if any(not block for block in blocks):
+        if not all(sets):
             raise ValueError("partition blocks must be nonempty")
-        blocks = tuple(sorted(blocks, key=min))
-        block_index = {x: i for i, block in enumerate(blocks) for x in block}
-        if sum(map(len, blocks)) != len(block_index):
+        # disjoint blocks differ in their first, smallest member
+        members = tuple(sorted(map(tuple, map(sorted, sets))))
+        block_index = {x: i for i, block in enumerate(members) for x in block}
+        if sum(map(len, members)) != len(block_index):
             raise ValueError("partition blocks must be pairwise disjoint")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "_members", members)
         object.__setattr__(self, "block_index", block_index)
 
     @classmethod
@@ -242,12 +249,19 @@ class Partition:
         groups: list[list[int]] = [[] for _ in range(len(label))]
         deque(map(list.append, map(groups.__getitem__, labels), ids), maxlen=0)
         p = object.__new__(cls)
-        object.__setattr__(p, "blocks", tuple(map(frozenset, groups)))
+        object.__setattr__(p, "_members", tuple(map(tuple, groups)))
         object.__setattr__(p, "block_index", dict(zip(ids, labels)))
         return p
 
+    @functools.cached_property
+    def blocks(self) -> tuple[ObjectSet, ...]:
+        return tuple(map(frozenset, self._members))
+
+    def __repr__(self) -> str:
+        return f"Partition(blocks={self.blocks!r})"
+
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self._members)
 
     @property
     def universe(self) -> ObjectSet:
@@ -292,14 +306,14 @@ def lower_approximation(p: Partition, members: Iterable[int]) -> ObjectSet:
     """Union of the blocks of `p` contained in the given object set."""
     target = frozenset(members)
     _require_members(p, target)
-    return frozenset().union(*(block for block in p.blocks if block <= target))
+    return frozenset().union(*filter(target.issuperset, p._members))
 
 
 def upper_approximation(p: Partition, members: Iterable[int]) -> ObjectSet:
     """Union of the blocks of `p` that intersect the given object set."""
     target = frozenset(members)
     _require_members(p, target)
-    return frozenset().union(*(block for block in p.blocks if block & target))
+    return frozenset().union(*filterfalse(target.isdisjoint, p._members))
 
 
 def is_definable(p: Partition, members: Iterable[int]) -> bool:
@@ -318,5 +332,5 @@ def deterministic_region(p: Partition, decisions: Partition) -> ObjectSet:
     _require_same_universe(p, decisions)
     class_of = decisions.block_index
     return frozenset().union(
-        *(block for block in p.blocks if len({class_of[x] for x in block}) == 1)
+        *(block for block in p._members if len({class_of[x] for x in block}) == 1)
     )

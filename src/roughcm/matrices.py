@@ -51,7 +51,7 @@ class GranuleFrequencyMatrix:
         cells = tuple(map(tuple, self.cells))
         object.__setattr__(self, "cells", cells)
         _require_same_universe(self.granules, self.decisions)
-        m, k = len(self.granules.blocks), len(self.decisions.blocks)
+        m, k = len(self.granules), len(self.decisions)
         if len(cells) != m or set(map(len, cells)) != {k}:
             raise ShapeMismatchError(f"expected a {m}x{k} count matrix")
         if min(chain.from_iterable(cells)) < 0:
@@ -68,15 +68,15 @@ class GranuleFrequencyMatrix:
 
     @property
     def k(self) -> int:
-        return len(self.decisions.blocks)
+        return len(self.decisions)
 
     @property
     def granule_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.granules.blocks))
+        return tuple(map(len, self.granules._members))
 
     @property
     def class_sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.decisions.blocks))
+        return tuple(map(len, self.decisions._members))
 
     @property
     def total(self) -> int:
@@ -134,11 +134,11 @@ def granule_frequency_matrix(
     granule member without a class is refused, not looked up.
     """
     _require_same_universe(granules, decisions)
-    k = len(decisions.blocks)
+    k = len(decisions)
     row_of, class_of = granules.block_index, decisions.block_index
     row_starts = map(mul, row_of.values(), repeat(k))
     counts = Counter(map(add, row_starts, map(class_of.__getitem__, row_of)))
-    flat = [0] * (len(granules.blocks) * k)
+    flat = [0] * (len(granules) * k)
     deque(map(flat.__setitem__, counts.keys(), counts.values()), maxlen=0)
     # k consecutive cells per granule row
     cells = tuple(zip(*[iter(flat)] * k))
@@ -164,15 +164,15 @@ def predictor_set(
     The predictor set is this classifier's stand-in for the class: every
     object inside it receives that prediction.
     """
-    if len(f.assignment) != len(granules.blocks):
+    if len(f.assignment) != len(granules):
         raise ShapeMismatchError(
             f"classifier assigns {len(f.assignment)} granules, "
-            f"partition has {len(granules.blocks)}"
+            f"partition has {len(granules)}"
         )
     if not 1 <= class_index <= f.n_classes:
         raise IndexError(f"class index {class_index} out of range 1..{f.n_classes}")
     return frozenset().union(
-        *(block for block, cls in zip(granules.blocks, f.assignment) if cls == class_index)
+        *(block for block, cls in zip(granules._members, f.assignment) if cls == class_index)
     )
 
 

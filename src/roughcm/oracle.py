@@ -183,9 +183,9 @@ def oracle_upper(p: Partition, members: Iterable[int]) -> ObjectSet:
     return frozenset().union(*_met_blocks(p, target))
 
 
-def _met_blocks(p: Partition, target: ObjectSet) -> Iterator[ObjectSet]:
-    """Each block that a member of `target` maps to, once."""
-    return map(p.blocks.__getitem__, set(map(p.block_index.__getitem__, target)))
+def _met_blocks(p: Partition, target: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The member tuple of each block that a member of `target` maps to, once."""
+    return map(p._members.__getitem__, set(map(p.block_index.__getitem__, target)))
 
 
 def exhaustive_best_classifier(
@@ -293,8 +293,9 @@ def verify_theorems(
     _require_shapes(f, gfm)
 
     # one oracle pass per class serves theorem 1 and lemma part 2
-    true_lower = [oracle_lower(granules, cls) for cls in decisions.blocks]
-    true_nu = [len(oracle_upper(granules, cls)) for cls in decisions.blocks]
+    true_lower = [oracle_lower(granules, cls) for cls in decisions._members]
+    # |upper| is the size of the blocks the class's members map to
+    true_nu = [sum(map(len, _met_blocks(granules, cls))) for cls in decisions._members]
 
     bound_checks = []
     truths = zip(bounds.classes, map(len, true_lower), true_nu)
@@ -310,7 +311,7 @@ def verify_theorems(
     lemma_checks = [
         LemmaCheck(1, i, cls == row.index(size) + 1)
         for i, (row, size, cls) in enumerate(
-            zip(gfm.cells, map(len, granules.blocks), f.assignment), start=1
+            zip(gfm.cells, map(len, granules._members), f.assignment), start=1
         )
         if size in row
     ]

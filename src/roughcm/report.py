@@ -268,8 +268,8 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
         "attributes": list(report.attribute_names),
         "decision": report.decision_name,
     }
-    yield "granules", map(sorted, report.granules.blocks)
-    yield "decision_classes", map(sorted, report.decisions.blocks)
+    yield "granules", map(list, report.granules._members)
+    yield "decision_classes", map(list, report.decisions._members)
     yield "granule_matrix", {
         "cells": map(list, gfm.cells),
         "granule_sizes": iter(gfm.granule_sizes),
@@ -517,8 +517,7 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
     else:
         raise ValueError(f"classifier.kind must be 'mrc' or 'custom', not {kind!r}")
     gfm = granule_frequency_matrix(
-        Partition(tuple(frozenset(block) for block in data["granules"])),
-        Partition(tuple(frozenset(block) for block in data["decision_classes"])),
+        Partition(data["granules"]), Partition(data["decision_classes"])
     )
     f = RoughClassifier(tuple(cls for _, cls in pairs), gfm.k)
     attributes = tuple(meta["attributes"])
@@ -711,13 +710,13 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
     )
     yield "\nGranules\n"
     labels = map("X{}".format, range(1, m + 1))
-    members = map(", ".join, map(map, repeat(str), map(sorted, report.granules.blocks)))
+    members = map(", ".join, map(map, repeat(str), report.granules._members))
     yield from _joined(map("  {} = {{{}}}".format, labels, members), "\n")
     yield "\nDecision classes"
-    for label, block in zip(class_labels, report.decisions.blocks):
+    for label, block in zip(class_labels, report.decisions._members):
         # a class line holds a share of all objects, so its ids go out in parts
         yield f"\n  {label} = {{"
-        yield from _joined(map(str, sorted(block)), ", ")
+        yield from _joined(map(str, block), ", ")
         yield "}"
     yield "\n\nGranule frequency matrix\n"
     yield from _joined(

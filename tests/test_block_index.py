@@ -4,10 +4,17 @@
 in canonical order. The gfm count, the oracle and `deterministic_region`
 read it; `lower_approximation`/`upper_approximation` do not, so comparing
 them with the oracle compares two routes.
+
+A partition stores each block once, as the ascending tuple of its members
+(`_members`), and builds `blocks`, the frozensets, only when it is read;
+the public surface is pinned here, and the analysis and both writers are
+checked never to build them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -16,14 +23,20 @@ from hypothesis import strategies as st
 
 from roughcm import (
     Partition,
+    analyze_decision_system,
     approximation_summary,
     deterministic_region,
     granule_frequency_matrix,
     lower_approximation,
     oracle_lower,
     oracle_upper,
+    random_overlap_classifier,
+    render_text,
+    report_from_dict,
+    report_to_json,
     upper_approximation,
 )
+from roughcm.cli import ingest_csv
 
 
 @st.composite
@@ -70,6 +83,81 @@ class TestBlockIndex:
         p = Partition((frozenset({9, 4}), frozenset({-3}), frozenset({5, 7})))
         assert p.blocks == (frozenset({-3}), frozenset({4, 9}), frozenset({5, 7}))
         assert dict(p.block_index) == {-3: 0, 4: 1, 9: 1, 5: 2, 7: 2}
+
+
+@st.composite
+def labelled_ids(draw):
+    """Ascending distinct ids and one key per id, for `Partition._from_labels`."""
+    ids = draw(st.lists(st.integers(-(2**40), 2**64), min_size=1, max_size=40, unique=True))
+    keys = draw(st.lists(st.integers(0, 7), min_size=len(ids), max_size=len(ids)))
+    return tuple(sorted(ids)), keys
+
+
+def _blocks_of(ids, keys):
+    groups: dict[int, list[int]] = {}
+    for x, key in zip(ids, keys):
+        groups.setdefault(key, []).append(x)
+    return [frozenset(group) for group in groups.values()]
+
+
+class TestMemberTuples:
+    @given(sparse_blocks(), labelled_ids())
+    def test_members_are_the_blocks_in_ascending_order(self, blocks, labelled):
+        for p in (Partition(tuple(blocks)), Partition._from_labels(*labelled)):
+            assert p._members == tuple(tuple(sorted(b)) for b in p.blocks)
+            assert all(type(block) is frozenset for block in p.blocks)
+            assert len(p) == len(p._members) == len(p.blocks)
+
+    @given(labelled_ids(), st.randoms(use_true_random=False))
+    def test_labels_agree_with_the_constructor_on_shuffled_blocks(self, labelled, rng):
+        p = Partition._from_labels(*labelled)
+        shuffled = _blocks_of(*labelled)
+        rng.shuffle(shuffled)
+        q = Partition(shuffled)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert repr(p) == repr(q) == f"Partition(blocks={q.blocks!r})"
+        assert p.block_index == q.block_index
+
+    @given(sparse_blocks(), st.randoms(use_true_random=False))
+    def test_repr_is_the_same_for_any_input_order(self, blocks, rng):
+        shuffled = list(blocks)
+        rng.shuffle(shuffled)
+        assert repr(Partition(tuple(blocks))) == repr(Partition(tuple(shuffled)))
+
+    def test_frozensets_are_built_on_first_read_and_kept(self):
+        p = Partition(([9, 4, 4], (-3,), {5, 7}))
+        assert "blocks" not in vars(p)
+        assert p._members == ((-3,), (4, 9), (5, 7))
+        assert p.blocks is p.blocks
+        assert p.blocks == (frozenset({-3}), frozenset({4, 9}), frozenset({5, 7}))
+
+    def test_instances_stay_immutable(self):
+        p = Partition(({1, 2}, {3}))
+        for name in ("blocks", "_members", "block_index"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, ())
+        assert p._members == ((1, 2), (3,))
+
+
+@pytest.mark.parametrize("kind", ["mrc", "custom"])
+def test_analysis_writers_and_load_never_build_the_frozensets(tmp_path, kind):
+    rng = random.Random(5)
+    rows = [
+        ",".join((f"v{rng.randrange(4)}", f"w{rng.randrange(3)}", f"c{rng.randrange(3)}"))
+        for _ in range(300)
+    ]
+    path = tmp_path / "t.csv"
+    path.write_text("a,b,d\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    ds = ingest_csv(path)
+    custom = (lambda gfm: random_overlap_classifier(gfm, 11)) if kind == "custom" else None
+    report = analyze_decision_system(ds, ds.condition_names, classifier=custom)
+    text = report_to_json(report)
+    assert render_text(report)
+    assert report.classifier_kind == kind
+    loaded = report_from_dict(json.loads(text))
+    for p in (report.granules, report.decisions, loaded.granules, loaded.decisions):
+        assert "blocks" not in vars(p)
 
 
 def _medium_system(n_granules: int, seed: int) -> tuple[Partition, Partition]:

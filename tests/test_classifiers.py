@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -376,6 +377,56 @@ class TestMappingFiles:
         assert message == (
             "no assignment for granule(s) 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 74414 more"
         )
+
+    # one file passes the whole-file test but for its long index, the other
+    # is read line by line anyway because of its last line
+    _LONG_INDEX_FILES = pytest.mark.parametrize(
+        "tail", ["", "x\n"], ids=["whole-file", "line-by-line"]
+    )
+
+    @_LONG_INDEX_FILES
+    def test_long_indices_are_echoed_cut_and_counted(self, tail):
+        cases = [
+            ("1 " + "1" * 700, "class index 11111111111111111111... (700 digits)"),
+            ("-" + "9" * 5000 + " 1", "granule index -9999999999999999999... (5000 digits)"),
+            ("0" * 30 + "12345678901234567890123 1",
+             "granule index 12345678901234567890... (23 digits)"),
+            ("1 " + "7" * 20, "class index 77777777777777777777"),
+        ]
+        for line, echoed in cases:
+            with pytest.raises(ClassifierFileError) as raised:
+                classifier_from_text(f"{line}\n2 1\n{tail}", 2, 2)
+            assert str(raised.value) == f"line 1: {echoed} out of range 1..2"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="int() has no digit limit"
+    )
+    @_LONG_INDEX_FILES
+    def test_indices_int_refuses_get_the_default_limits_message(self, tail):
+        files = [
+            f"1 {'1' * 700}\n2 1\n{tail}",
+            f"{'-' + '3' * 641} 1\n2 1\n{tail}",
+            f"{'0' * 700}2 1\n1 2\n{tail}",
+        ]
+
+        def read(text):
+            try:
+                return classifier_from_text(text, 2, 2).assignment
+            except ClassifierFileError as exc:
+                return str(exc)
+
+        expected = list(map(read, files))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert list(map(read, files)) == expected
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert expected[0] == (
+            "line 1: class index 11111111111111111111... (700 digits) out of range 1..2"
+        )
+        assert expected[1].startswith("line 1: granule index -3333333333333333333... ")
+        assert expected[2] == ("line 3: expected two fields, got 1" if tail else (2, 1))
 
 
 def test_overlap_violations_past_ten_are_counted_not_listed():

@@ -23,11 +23,15 @@ Mapping from id to token, for an ingested table a read-only view of its
 column. A partition is built from labels: one pass over the objects in
 ascending id order numbers each distinct key by its first occurrence, so
 a block's label is its rank by smallest member, which is the canonical
-block order, and the blocks need no sorting. The same object-to-block
-labels (`Partition.block_index`) count the granule frequency matrix. A
-partition keeps each block once, as the ascending tuple of its members;
-the blocks as frozensets (`Partition.blocks`) are built only when read,
-and nothing on the analysis path, the writers included, reads them.
+block order, and the blocks need no sorting. A partition keeps those
+labels beside its universe, the ascending ids it was built from (the
+decision system's own tuple), and the granule frequency matrix is
+counted from the granule and class labels of the objects. A partition
+keeps each block once, as the ascending tuple of its members; the
+blocks as frozensets (`Partition.blocks`) and the map from object to
+block (`Partition.block_index`) are built only when read. Nothing on the
+analysis path, the writers included, reads the frozensets, and only the
+verifier reads the granules' map.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely.
@@ -40,7 +44,8 @@ import gc
 from collections import defaultdict, deque
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import count, filterfalse
+from itertools import count, filterfalse, islice
+from operator import eq, lt
 from typing import ParamSpec, TypeVar
 
 from .errors import (
@@ -147,7 +152,8 @@ class DecisionSystem:
     1..n. Every attribute must provide a value for every object, and the
     decision attribute must take at least two distinct values. The
     constructor keeps each attribute as a column of tokens aligned with
-    the ids in ascending order, the order partitions visit the objects in.
+    the ids in ascending order, the order partitions visit the objects in;
+    ids that already ascend are kept as they are, not copied.
     """
 
     object_ids: tuple[int, ...]
@@ -165,25 +171,30 @@ class DecisionSystem:
         )
         if not self.object_ids:
             raise ValueError("a decision system needs at least one object")
-        universe = frozenset(self.object_ids)
-        if len(universe) != len(self.object_ids):
-            raise ValueError("object ids must be unique")
+        # distinct ids ascend once sorted, so uniqueness needs no set
+        ids = self.object_ids
+        if not all(map(lt, ids, islice(ids, 1, None))):
+            ids = tuple(sorted(ids))
+            if any(map(eq, ids, islice(ids, 1, None))):
+                raise ValueError("object ids must be unique")
         names = [a.name for a in self.condition_attributes]
         names.append(self.decision_attribute.name)
         if len(set(names)) != len(names):
             raise ValueError("attribute names must be unique")
-        ids = tuple(sorted(self.object_ids))
         columns = {}
+        universe = None
         for attribute in (*self.condition_attributes, self.decision_attribute):
             values = attribute.values
             if isinstance(values, _Column) and values.ids == ids:
                 columns[attribute.name] = values.tokens
-            elif values.keys() != universe:
+                continue
+            if universe is None:
+                universe = frozenset(ids)
+            if values.keys() != universe:
                 raise ValueError(
                     f"attribute {attribute.name!r} must map exactly the object ids"
                 )
-            else:
-                columns[attribute.name] = tuple(map(values.__getitem__, ids))
+            columns[attribute.name] = tuple(map(values.__getitem__, ids))
         if len(set(columns[self.decision_attribute.name])) < 2:
             raise DegenerateDecisionError(
                 f"decision attribute {self.decision_attribute.name!r} takes a single "
@@ -213,14 +224,18 @@ class Partition:
     matrix and report derived from a partition is reproducible byte for
     byte regardless of how the blocks were supplied. Each block is stored
     once, as the ascending tuple of its members (`_members`); `blocks`,
-    the same blocks as frozensets, is built on first read. The
-    constructor also maps each object to the 0-based index of its block
-    (`block_index`); the universe is that map's key set. Two partitions
-    are equal when their member tuples are.
+    the same blocks as frozensets, is built on first read. Beside the
+    blocks a partition keeps its universe as an ascending tuple (`_ids`)
+    and the 0-based index of each object's block, aligned with it
+    (`_labels`); the granule frequency matrix is counted from two
+    partitions' labels. `block_index`, the map from object to block
+    index, is built from them on first read. Two partitions are equal
+    when their member tuples are.
     """
 
     _members: tuple[tuple[int, ...], ...]
-    block_index: Mapping[int, int] = field(compare=False)
+    _ids: tuple[int, ...] = field(compare=False)
+    _labels: list[int] = field(compare=False)
 
     def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
         sets = list(map(set, blocks))
@@ -230,19 +245,22 @@ class Partition:
             raise ValueError("partition blocks must be nonempty")
         # disjoint blocks differ in their first, smallest member
         members = tuple(sorted(map(tuple, map(sorted, sets))))
-        block_index = {x: i for i, block in enumerate(members) for x in block}
-        if sum(map(len, members)) != len(block_index):
+        index = {x: i for i, block in enumerate(members) for x in block}
+        if sum(map(len, members)) != len(index):
             raise ValueError("partition blocks must be pairwise disjoint")
+        ids = tuple(sorted(index))
         object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "block_index", block_index)
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_labels", list(map(index.__getitem__, ids)))
 
     @classmethod
     def _from_labels(cls, ids: tuple[int, ...], keys: Iterable[Hashable]) -> Partition:
         """One block per distinct key, holding the ids paired with that key.
 
-        The ids must ascend. Each key is labelled by its first occurrence,
-        so the labels already number the blocks in canonical order: the
-        blocks are filled by label and neither sorted nor checked.
+        The ids must ascend; the partition keeps them as its `_ids`. Each
+        key is labelled by its first occurrence, so the labels already
+        number the blocks in canonical order: the blocks are filled by
+        label and neither sorted nor checked.
         """
         label = defaultdict(count().__next__)
         labels = list(map(label.__getitem__, keys))
@@ -250,12 +268,18 @@ class Partition:
         deque(map(list.append, map(groups.__getitem__, labels), ids), maxlen=0)
         p = object.__new__(cls)
         object.__setattr__(p, "_members", tuple(map(tuple, groups)))
-        object.__setattr__(p, "block_index", dict(zip(ids, labels)))
+        object.__setattr__(p, "_ids", ids)
+        object.__setattr__(p, "_labels", labels)
         return p
 
     @functools.cached_property
     def blocks(self) -> tuple[ObjectSet, ...]:
         return tuple(map(frozenset, self._members))
+
+    @functools.cached_property
+    def block_index(self) -> Mapping[int, int]:
+        """Each object's 0-based block index in canonical order."""
+        return dict(zip(self._ids, self._labels))
 
     def __repr__(self) -> str:
         return f"Partition(blocks={self.blocks!r})"
@@ -265,7 +289,7 @@ class Partition:
 
     @property
     def universe(self) -> ObjectSet:
-        return frozenset(self.block_index)
+        return frozenset(self._ids)
 
 
 def _require_members(p: Partition, members: ObjectSet) -> None:
@@ -276,7 +300,7 @@ def _require_members(p: Partition, members: ObjectSet) -> None:
 
 
 def _require_same_universe(p: Partition, q: Partition) -> None:
-    if p.block_index.keys() != q.block_index.keys():
+    if p._ids != q._ids:
         raise UniverseMismatchError("partitions cover different object sets")
 
 
@@ -330,7 +354,9 @@ def deterministic_region(p: Partition, decisions: Partition) -> ObjectSet:
     union of the lower approximations of all decision classes.
     """
     _require_same_universe(p, decisions)
-    class_of = decisions.block_index
+    # one pass over the aligned labels gathers each granule's classes
+    seen: list[set[int]] = [set() for _ in p._members]
+    deque(map(set.add, map(seen.__getitem__, p._labels), decisions._labels), maxlen=0)
     return frozenset().union(
-        *(block for block in p._members if len({class_of[x] for x in block}) == 1)
+        *(block for block, classes in zip(p._members, seen) if len(classes) == 1)
     )

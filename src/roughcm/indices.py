@@ -117,15 +117,15 @@ def approximation_summary(gfm: GranuleFrequencyMatrix) -> ApproximationSummary:
     Granule i lies in the lower approximation of class j when cell (i, j)
     holds the whole granule, and in the upper one when the cell is non-zero.
     """
-    sizes = gfm.granule_sizes
+    rows, blocks = gfm.cells, gfm.granules._members
     return ApproximationSummary(
         tuple(
             ClassApproximation(
                 size=n_j,
-                lower_size=sum(s for row, s in zip(gfm.cells, sizes) if row[j] == s),
-                upper_size=sum(s for row, s in zip(gfm.cells, sizes) if row[j]),
+                lower_size=sum(s for row, s in zip(rows, map(len, blocks)) if row[j] == s),
+                upper_size=sum(s for row, s in zip(rows, map(len, blocks)) if row[j]),
             )
-            for j, n_j in enumerate(gfm.class_sizes)
+            for j, n_j in enumerate(map(len, gfm.decisions._members))
         )
     )
 

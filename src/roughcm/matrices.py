@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, itemgetter, mul
+from operator import add, eq, itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .core import ObjectSet, Partition, _require_same_universe
@@ -56,10 +56,10 @@ class GranuleFrequencyMatrix:
             raise ShapeMismatchError(f"expected a {m}x{k} count matrix")
         if min(chain.from_iterable(cells)) < 0:
             raise ValueError("counts must be non-negative")
-        if tuple(map(sum, cells)) != self.granule_sizes:
+        if not all(map(eq, map(sum, cells), map(len, self.granules._members))):
             raise ValueError("row sums must equal granule sizes")
         column_sums = (sum(map(itemgetter(j), cells)) for j in range(k))
-        if tuple(column_sums) != self.class_sizes:
+        if not all(map(eq, column_sums, map(len, self.decisions._members))):
             raise ValueError("column sums must equal decision class sizes")
 
     @property
@@ -80,7 +80,7 @@ class GranuleFrequencyMatrix:
 
     @property
     def total(self) -> int:
-        return len(self.granules.block_index)
+        return len(self.granules._ids)
 
 
 @dataclass(frozen=True)
@@ -129,15 +129,14 @@ def granule_frequency_matrix(
     """Count, for every granule, how many members fall in each class.
 
     One counting pass over the objects: each object's granule label i and
-    class label j, read from the two `block_index` maps, name the flat
-    cell i * k + j it adds to. The universes are compared first, so a
-    granule member without a class is refused, not looked up.
+    class label j, read from the two partitions' labels, name the flat
+    cell i * k + j it adds to. The universes are compared first, so the
+    two label sequences are aligned object by object.
     """
     _require_same_universe(granules, decisions)
     k = len(decisions)
-    row_of, class_of = granules.block_index, decisions.block_index
-    row_starts = map(mul, row_of.values(), repeat(k))
-    counts = Counter(map(add, row_starts, map(class_of.__getitem__, row_of)))
+    row_starts = map(mul, granules._labels, repeat(k))
+    counts = Counter(map(add, row_starts, decisions._labels))
     flat = [0] * (len(granules) * k)
     deque(map(flat.__setitem__, counts.keys(), counts.values()), maxlen=0)
     # k consecutive cells per granule row

@@ -34,7 +34,7 @@ report writes.
 from __future__ import annotations
 
 import reprlib
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import chain, count, filterfalse, islice, repeat, starmap
@@ -272,8 +272,8 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     yield "decision_classes", map(list, report.decisions._members)
     yield "granule_matrix", {
         "cells": map(list, gfm.cells),
-        "granule_sizes": iter(gfm.granule_sizes),
-        "class_sizes": list(gfm.class_sizes),
+        "granule_sizes": map(len, report.granules._members),
+        "class_sizes": list(map(len, report.decisions._members)),
         "total": gfm.total,
     }
     yield "classifier", {
@@ -651,8 +651,8 @@ def _count_grid(
     prefix: str,
     margin: str,
     cells: tuple[tuple[int, ...], ...],
-    row_sums: tuple[int, ...],
-    col_sums: tuple[int, ...],
+    row_sums: Iterable[int],
+    col_sums: Sequence[int],
     total: int,
 ) -> Iterable[str]:
     """_grid of a table of counts and its sums: rows {prefix}1.., columns
@@ -720,7 +720,14 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         yield "}"
     yield "\n\nGranule frequency matrix\n"
     yield from _joined(
-        _count_grid("X", "size", gfm.cells, gfm.granule_sizes, gfm.class_sizes, gfm.total),
+        _count_grid(
+            "X",
+            "size",
+            gfm.cells,
+            map(len, report.granules._members),
+            list(map(len, report.decisions._members)),
+            gfm.total,
+        ),
         "\n",
     )
 

@@ -30,8 +30,10 @@ counted from the granule and class labels of the objects. A partition
 keeps each block once, as the ascending tuple of its members; the
 blocks as frozensets (`Partition.blocks`) and the map from object to
 block (`Partition.block_index`) are built only when read. Nothing on the
-analysis path, the writers included, reads the frozensets, and only the
-verifier reads the granules' map.
+analysis path, the writers and the verifier included, reads either: the
+verifier gathers the granules each class meets from the labels
+(`_granules_met`, shared with `deterministic_region`), and only the
+per-element oracles in `oracle.py` read the map.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely.
@@ -44,7 +46,7 @@ import gc
 from collections import defaultdict, deque
 from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import count, filterfalse, islice
+from itertools import chain, compress, count, filterfalse, islice
 from operator import eq, lt
 from typing import ParamSpec, TypeVar
 
@@ -228,9 +230,10 @@ class Partition:
     blocks a partition keeps its universe as an ascending tuple (`_ids`)
     and the 0-based index of each object's block, aligned with it
     (`_labels`); the granule frequency matrix is counted from two
-    partitions' labels. `block_index`, the map from object to block
-    index, is built from them on first read. Two partitions are equal
-    when their member tuples are.
+    partitions' labels, and the verifier reads the same labels.
+    `block_index`, the map from object to block index, is built from them
+    on first read; only the per-element oracles read it. Two partitions
+    are equal when their member tuples are.
     """
 
     _members: tuple[tuple[int, ...], ...]
@@ -293,7 +296,7 @@ class Partition:
 
 
 def _require_members(p: Partition, members: ObjectSet) -> None:
-    foreign = members.difference(p.block_index)
+    foreign = members.difference(p._ids)
     if foreign:
         listed = _listed(sorted(foreign))
         raise UniverseMismatchError(f"object id(s) outside the universe: {listed}")
@@ -346,6 +349,21 @@ def is_definable(p: Partition, members: Iterable[int]) -> bool:
     return lower_approximation(p, target) == target
 
 
+def _granules_met(p: Partition, decisions: Partition) -> tuple[list[set[int]], list[int]]:
+    """For each decision class, the labels of the granules it meets, and for
+    each granule, the number of classes that meet it.
+
+    One pass over the aligned labels of one universe fills k sets; the
+    per-granule counts are a flat list, so nothing m-sized holds a set.
+    """
+    met: list[set[int]] = [set() for _ in decisions._members]
+    deque(map(set.add, map(met.__getitem__, decisions._labels), p._labels), maxlen=0)
+    meets = [0] * len(p._members)
+    for g in chain.from_iterable(met):
+        meets[g] += 1
+    return met, meets
+
+
 def deterministic_region(p: Partition, decisions: Partition) -> ObjectSet:
     """Union of the granules whose members all share one decision class.
 
@@ -354,9 +372,5 @@ def deterministic_region(p: Partition, decisions: Partition) -> ObjectSet:
     union of the lower approximations of all decision classes.
     """
     _require_same_universe(p, decisions)
-    # one pass over the aligned labels gathers each granule's classes
-    seen: list[set[int]] = [set() for _ in p._members]
-    deque(map(set.add, map(seen.__getitem__, p._labels), decisions._labels), maxlen=0)
-    return frozenset().union(
-        *(block for block, classes in zip(p._members, seen) if len(classes) == 1)
-    )
+    meets = _granules_met(p, decisions)[1]
+    return frozenset().union(*compress(p._members, map((1).__eq__, meets)))

@@ -5,24 +5,41 @@ approximations are recomputed per element, each finding its block through
 the partition's object-to-block map, instead of per block, the best
 classifier is found by enumerating every assignment instead of taking row
 maxima, and the bound theorems are verified inequality by inequality on
-randomly generated decision systems. The generator is fully deterministic
-given its seed: every draw is the one random.Random's randrange or choice
-makes from that seed (Mersenne Twister; the algorithm id, GENERATOR_ID,
-is recorded in fuzz summaries so runs can be replayed). The generator and
-the random classifier take those draws through _below, which repeats the
-library's bit-level rejection loop without its call layers;
-tests/test_fuzz_stream.py holds _below to randrange and choice draw for
-draw and pins the trial stream in a golden file.
+randomly generated decision systems.
+
+The verifier reads its true approximation sizes from the objects, not
+from the frequency matrix, and needs no id-keyed map: one pass over the
+granule and class labels of the objects gathers, for each class, the set
+of granules it meets. A class's upper approximation is the granules it
+meets and its lower approximation those it meets alone, with sizes taken
+from the member tuples; lemma part 2 counts, object by object, the
+members of each lower approximation that the classifier maps to their
+own class. This is still not the fast path: the gfm counts flat codes
+i*k + j in a Counter and reads a granule as inside class j when its row
+holds its size at j, while the verifier de-duplicates (granule, class)
+pairs into one set per class and reads a granule as inside class j when
+class j alone meets it. `oracle_lower` and `oracle_upper` stay as the
+per-element routes the tests hold the verifier to.
+
+The generator is fully deterministic given its seed: every draw is the
+one random.Random's randrange or choice makes from that seed (Mersenne
+Twister; the algorithm id, GENERATOR_ID, is recorded in fuzz summaries so
+runs can be replayed). The generator and the random classifier take
+those draws through _below, which repeats the library's bit-level
+rejection loop without its call layers; tests/test_fuzz_stream.py holds
+_below to randrange and choice draw for draw and pins the trial stream
+in a golden file.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le
+from operator import eq, le
 
 from .classifiers import (
     RoughClassifier,
@@ -37,6 +54,7 @@ from .core import (
     ObjectSet,
     Partition,
     _Column,
+    _granules_met,
     _require_members,
     decision_partition,
     partition_by_attributes,
@@ -274,7 +292,7 @@ def verify_theorems(
 ) -> TheoremReport:
     """Check every bound chain and overlap-rule consequence on built stages.
 
-    True approximation sizes come from the per-element oracle over the
+    True approximation sizes come from the objects' labels in the
     partitions the frequency matrix carries, estimator values from the
     bounds. The two bound chains are checked per class; the sharper
     row-maximal chains only when the bounds are flagged row-maximal, and
@@ -292,13 +310,17 @@ def verify_theorems(
         return TheoremReport(False, (), (), ctx)
     _require_shapes(f, gfm)
 
-    # one oracle pass per class serves theorem 1 and lemma part 2
-    true_lower = [oracle_lower(granules, cls) for cls in decisions._members]
-    # |upper| is the size of the blocks the class's members map to
-    true_nu = [sum(map(len, _met_blocks(granules, cls))) for cls in decisions._members]
+    # class j's upper approximation is the granules it meets, its lower
+    # approximation those it meets alone
+    met, meets = _granules_met(granules, decisions)
+    sizes = list(map(len, granules._members))
+    lone = list(map((1).__eq__, meets))
+    size_of, is_lone = sizes.__getitem__, lone.__getitem__
+    true_nl = [sum(map(size_of, filter(is_lone, met_j))) for met_j in met]
+    true_nu = [sum(map(size_of, met_j)) for met_j in met]
 
     bound_checks = []
-    truths = zip(bounds.classes, map(len, true_lower), true_nu)
+    truths = zip(bounds.classes, true_nl, true_nu)
     for j, (cb, nl, nu) in enumerate(truths, start=1):
         n_j = cb.class_size
         bound_checks.append(BoundCheck(1, j, (nl, cb.nl_star2, cb.nl_star, n_j)))
@@ -310,16 +332,18 @@ def verify_theorems(
     # a granule lies inside class j exactly when its row holds its size at j
     lemma_checks = [
         LemmaCheck(1, i, cls == row.index(size) + 1)
-        for i, (row, size, cls) in enumerate(
-            zip(gfm.cells, map(len, granules._members), f.assignment), start=1
-        )
+        for i, (row, size, cls) in enumerate(zip(gfm.cells, sizes, f.assignment), start=1)
         if size in row
     ]
-    # x lies in class j's predictor set exactly when f maps x's granule to j
-    assignment, block_index = f.assignment, granules.block_index
-    for j, low in enumerate(true_lower, start=1):
-        predicted = set(map(assignment.__getitem__, map(block_index.__getitem__, low)))
-        lemma_checks.append(LemmaCheck(2, j, predicted <= {j}))
+    # object by object: x lies in its own class's lower approximation when
+    # its granule meets that class alone; lemma part 2 holds for class j
+    # when f maps all nl_j such objects to j
+    labels, classes = granules._labels, decisions._labels
+    wanted = [j - 1 if alone else -1 for j, alone in zip(f.assignment, lone)]
+    hits = map(eq, map(wanted.__getitem__, labels), classes)
+    kept = Counter(itertools.compress(classes, hits))
+    for j, nl in enumerate(true_nl):
+        lemma_checks.append(LemmaCheck(2, j + 1, kept[j] == nl))
     for i, row in enumerate(cm.cells):
         if row[i] == 0:
             lemma_checks.append(LemmaCheck(3, i + 1, not any(row)))

@@ -41,14 +41,15 @@ LOAD_STAGES = (
     "verify_theorems",
     "maximal_row_classifier",
 )
+ORACLES = ("oracle_lower", "oracle_upper")
 
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls to the stage builders, the verifier and the
-    lower-approximation oracle."""
+    """Count calls to the stage builders, the verifier and the two
+    per-element oracles."""
     counts: Counter[str] = Counter()
-    for name in {*STAGES, *LOAD_STAGES, "oracle_lower"}:
+    for name in {*STAGES, *LOAD_STAGES, *ORACLES}:
         original = getattr(roughcm, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -78,7 +79,7 @@ def test_analyze_builds_each_stage_once(calls, tv_system, classifier):
     )
     assert report.theorems.applicable
     assert stage_counts(calls) == [1, 1, 1]
-    assert calls["oracle_lower"] == report.n_classes
+    assert [calls[name] for name in ORACLES] == [0, 0]
 
 
 @pytest.mark.parametrize(
@@ -134,22 +135,20 @@ def test_fuzz_builds_each_stage_once_per_trial(calls, monkeypatch):
     assert summary.checks == 80 and summary.failures == 0
     assert stage_counts(calls) == [40, 40, 40]
     assert len(applicable_classes) == 80
-    assert calls["oracle_lower"] == sum(applicable_classes)
+    assert [calls[name] for name in ORACLES] == [0, 0]
 
 
 @pytest.mark.parametrize(
-    "assignment,lower_calls",
-    [((1, 2, 2, 1), 2), ((1, 2, 2, 2), 0)],
+    "assignment,applicable",
+    [((1, 2, 2, 1), True), ((1, 2, 2, 2), False)],
     ids=["applicable", "rule-broken"],
 )
-def test_verifier_runs_the_lower_oracle_once_per_class(
-    calls, tv_system, assignment, lower_calls
-):
+def test_the_verifier_calls_neither_oracle(calls, tv_system, assignment, applicable):
     granules = partition_by_attributes(tv_system, ("Price", "Screen"))
     gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
     f = RoughClassifier(assignment, 2)
     cm = confusion_matrix(gfm, f)
     bounds = confusion_bounds(cm, validate_overlap(f, gfm), is_row_maximal(f, gfm))
     report = verify_theorems(gfm, f, cm, bounds)
-    assert report.applicable == (lower_calls > 0)
-    assert calls["oracle_lower"] == lower_calls
+    assert report.applicable == applicable
+    assert [calls[name] for name in ORACLES] == [0, 0]

@@ -4,10 +4,12 @@ A `Partition` keeps its universe as an ascending tuple (`_ids`) and each
 object's 0-based block index aligned with it (`_labels`); the gfm, the
 universe comparison and `deterministic_region` read those two sequences.
 `block_index`, the id-keyed map, is built from them the first time it is
-read: only the verifier reads it, and only for the granules, so an
-analysis never builds the decision partition's map. A decision system
-checks that its ids are unique by their order, without a set, and keeps
-ids that already ascend as its own ascending universe.
+read: the per-element oracles read it, and nothing on the analysis path
+does, the verifier and the range check of the public approximations
+included, so an analysis, its writers, a load and a fuzz trial build
+neither map. A decision system checks that its ids are unique by their
+order, without a set, and keeps ids that already ascend as its own
+ascending universe.
 """
 
 from __future__ import annotations
@@ -23,15 +25,21 @@ from roughcm import (
     Attribute,
     DecisionSystem,
     Partition,
+    UniverseMismatchError,
     analyze_decision_system,
     decision_partition,
     deterministic_region,
     granule_frequency_matrix,
+    is_definable,
+    lower_approximation,
+    oracle,
     partition_by_attributes,
     random_overlap_classifier,
     render_text,
     report_from_dict,
     report_to_json,
+    run_fuzz_trials,
+    upper_approximation,
 )
 from roughcm.cli import ingest_csv
 
@@ -158,7 +166,7 @@ class TestLabels:
 
 
 @pytest.mark.parametrize("kind", ["mrc", "custom"])
-def test_analysis_writers_and_load_never_build_the_class_map(tmp_path, kind):
+def test_analysis_writers_and_load_never_build_either_map(tmp_path, kind):
     rng = random.Random(9)
     rows = [
         ",".join((f"v{rng.randrange(4)}", f"w{rng.randrange(3)}", f"c{rng.randrange(3)}"))
@@ -176,10 +184,35 @@ def test_analysis_writers_and_load_never_build_the_class_map(tmp_path, kind):
     loaded = report_from_dict(json.loads(text))
     assert report_to_json(loaded) == text
     assert render_text(loaded)
-    # the verifier reads the granules' map; nothing reads the classes' map
-    for granules, decisions in (
-        (report.granules, report.decisions),
-        (loaded.granules, loaded.decisions),
-    ):
-        assert "block_index" in vars(granules)
-        assert "block_index" not in vars(decisions)
+    # the verifier reads the labels, so neither partition builds its map
+    for analysis in (report, loaded):
+        assert "block_index" not in vars(analysis.granules)
+        assert "block_index" not in vars(analysis.decisions)
+
+
+def test_the_public_approximations_check_ranges_without_the_map():
+    ds = build_system(TV_HEADER, TV_ROWS)
+    granules = partition_by_attributes(ds, ["Price", "Sound"])
+    outside = r"object id\(s\) outside the universe: 0, 7$"
+    for route in (lower_approximation, upper_approximation, is_definable):
+        # True is hash-equal to the id 1, as a dict key would be
+        route(granules, {True, 2, 3})
+        with pytest.raises(UniverseMismatchError, match=outside):
+            route(granules, {0, 2, 7})
+    assert "block_index" not in vars(granules)
+
+
+def test_a_fuzz_trial_builds_neither_map(monkeypatch):
+    verified = []
+    original = oracle.verify_theorems
+
+    def verify(gfm, *args):
+        report = original(gfm, *args)
+        verified.append(report.applicable)
+        assert "block_index" not in vars(gfm.granules)
+        assert "block_index" not in vars(gfm.decisions)
+        return report
+
+    monkeypatch.setattr(oracle, "verify_theorems", verify)
+    assert run_fuzz_trials(trials=20, base_seed=3).failures == 0
+    assert verified == [True] * 40

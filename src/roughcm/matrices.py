@@ -131,7 +131,8 @@ def granule_frequency_matrix(
     One counting pass over the objects: each object's granule label i and
     class label j, read from the two partitions' labels, name the flat
     cell i * k + j it adds to. The universes are compared first, so the
-    two label sequences are aligned object by object.
+    two label sequences are aligned object by object. Equal rows are one
+    tuple: a fine table has far fewer distinct rows than granules.
     """
     _require_same_universe(granules, decisions)
     k = len(decisions)
@@ -139,8 +140,10 @@ def granule_frequency_matrix(
     counts = Counter(map(add, row_starts, decisions._labels))
     flat = [0] * (len(granules) * k)
     deque(map(flat.__setitem__, counts.keys(), counts.values()), maxlen=0)
+    del counts
     # k consecutive cells per granule row
-    cells = tuple(zip(*[iter(flat)] * k))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    cells = tuple([shared.setdefault(row, row) for row in zip(*[iter(flat)] * k)])
     return GranuleFrequencyMatrix(cells, granules, decisions)
 
 

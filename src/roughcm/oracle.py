@@ -36,10 +36,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq, le
+from operator import attrgetter, contains, eq, le, not_
 
 from .classifiers import (
     RoughClassifier,
@@ -234,6 +234,11 @@ def exhaustive_best_classifier(
     return RoughClassifier(best, k), Fraction(best_score, gfm.total)
 
 
+def _holds(chain: tuple[int, ...]) -> bool:
+    """Whether a bound chain is non-decreasing, left to right."""
+    return all(map(le, chain, chain[1:]))
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One per-class inequality chain of a bound theorem, left to right."""
@@ -247,7 +252,7 @@ class BoundCheck:
 
     @property
     def passed(self) -> bool:
-        return all(map(le, self.chain, self.chain[1:]))
+        return _holds(self.chain)
 
 
 @dataclass(frozen=True)
@@ -260,12 +265,20 @@ class LemmaCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TheoremReport:
     """Every inequality verified on one (frequency matrix, classifier) pair.
 
     Classifiers that break the overlap rule make the checks inapplicable:
     the report is marked not-applicable rather than failed.
+
+    The checks are kept as columns, with no object per check: the bound
+    chains as (theorem, class, chain) and the lemma checks as (part,
+    subject, passed), each passed column a bytes of 0s and 1s. The
+    subjects of lemma part 1, ascending granule indices, are kept as a 0/1
+    mask over the granules. bound_checks and lemma_checks build their
+    records on every read, and the constructor takes records, so
+    dataclasses.replace works on them.
     """
 
     applicable: bool
@@ -273,14 +286,70 @@ class TheoremReport:
     lemma_checks: tuple[LemmaCheck, ...]
     context: Mapping[str, str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bound_checks", tuple(self.bound_checks))
-        object.__setattr__(self, "lemma_checks", tuple(self.lemma_checks))
-        object.__setattr__(self, "context", dict(self.context))
+    def __init__(
+        self,
+        applicable: bool,
+        bound_checks: Iterable[BoundCheck],
+        lemma_checks: Iterable[LemmaCheck],
+        context: Mapping[str, str],
+    ) -> None:
+        bounds, lemmas = tuple(bound_checks), tuple(lemma_checks)
+        self._fill(
+            applicable,
+            [tuple(map(attrgetter(name), bounds)) for name in ("theorem", "class_index", "chain")],
+            (tuple(c.part for c in lemmas), b"", tuple(c.subject for c in lemmas)),
+            bytes(map(bool, map(attrgetter("passed"), lemmas))),
+            context,
+        )
+
+    def _fill(
+        self,
+        applicable: bool,
+        bounds: Sequence[Sequence[object]],
+        lemmas: tuple[Sequence[int], bytes, Sequence[int]],
+        lemmas_passed: bytes,
+        context: Mapping[str, str],
+    ) -> TheoremReport:
+        """Hold the bound columns and the lemma columns as (part, part 1
+        mask, the other subjects), with the passed column as 0s and 1s."""
+        self.__dict__.update(
+            applicable=applicable,
+            _bounds=tuple(bounds),
+            _bounds_passed=bytes(map(_holds, bounds[2])),
+            _lemmas=lemmas,
+            _lemmas_passed=lemmas_passed,
+            context=dict(context),
+        )
+        return self
+
+    # named as the fields above, so replace, == and repr read the records
+    @property
+    def bound_checks(self) -> tuple[BoundCheck, ...]:
+        return tuple(map(BoundCheck, *self._bounds))
+
+    @property
+    def lemma_checks(self) -> tuple[LemmaCheck, ...]:
+        parts, subjects = self._lemma_columns()
+        return tuple(map(LemmaCheck, parts, subjects, map(bool, self._lemmas_passed)))
 
     @property
     def overall_pass(self) -> bool:
-        return all(c.passed for c in (*self.bound_checks, *self.lemma_checks))
+        return all(self._bounds_passed) and all(self._lemmas_passed)
+
+    def _lemma_columns(self) -> tuple[Sequence[int], Iterator[int]]:
+        """The lemma checks' part and subject columns."""
+        parts, inside, subjects = self._lemmas
+        return parts, itertools.chain(itertools.compress(itertools.count(1), inside), subjects)
+
+    def _failed_bounds(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(theorem, class, chain) of each failing bound chain, in order."""
+        failing = map(not_, self._bounds_passed)
+        return list(itertools.compress(zip(*self._bounds), failing))
+
+    def _failed_lemmas(self) -> list[tuple[int, int]]:
+        """(part, subject) of each failing lemma check, in order."""
+        failing = map(not_, self._lemmas_passed)
+        return list(itertools.compress(zip(*self._lemma_columns()), failing))
 
 
 def verify_theorems(
@@ -301,7 +370,8 @@ def verify_theorems(
     granule inside a class must be mapped to it, lower approximations sit
     inside predictor sets, and a zero diagonal cell forces its whole row
     to zero. Where the checks apply, a classifier whose shape does not fit
-    the matrix raises ShapeMismatchError.
+    the matrix raises ShapeMismatchError. The checks go straight into the
+    report's columns.
     """
     granules, decisions = gfm.granules, gfm.decisions
     ctx = dict(context or {})
@@ -319,22 +389,23 @@ def verify_theorems(
     true_nl = [sum(map(size_of, filter(is_lone, met_j))) for met_j in met]
     true_nu = [sum(map(size_of, met_j)) for met_j in met]
 
-    bound_checks = []
+    chains = []
     truths = zip(bounds.classes, true_nl, true_nu)
     for j, (cb, nl, nu) in enumerate(truths, start=1):
         n_j = cb.class_size
-        bound_checks.append(BoundCheck(1, j, (nl, cb.nl_star2, cb.nl_star, n_j)))
-        bound_checks.append(BoundCheck(2, j, (n_j, cb.nu_star, cb.nu_star2, nu)))
+        chains.append((1, j, (nl, cb.nl_star2, cb.nl_star, n_j)))
+        chains.append((2, j, (n_j, cb.nu_star, cb.nu_star2, nu)))
         if bounds.mrc_classifier:
-            bound_checks.append(BoundCheck(3, j, (nl, cb.nl_m, cb.nl_star2)))
-            bound_checks.append(BoundCheck(4, j, (cb.nl_star2, cb.nu_m, nu)))
+            chains.append((3, j, (nl, cb.nl_m, cb.nl_star2)))
+            chains.append((4, j, (cb.nl_star2, cb.nu_m, nu)))
 
-    # a granule lies inside class j exactly when its row holds its size at j
-    lemma_checks = [
-        LemmaCheck(1, i, cls == row.index(size) + 1)
-        for i, (row, size, cls) in enumerate(zip(gfm.cells, sizes, f.assignment), start=1)
-        if size in row
-    ]
+    # a granule lies inside class j exactly when its row holds its size at j;
+    # the 0/1 mask of such granules stands for lemma part 1's subjects
+    inside = bytes(map(contains, gfm.cells, sizes))
+    rows = itertools.compress(gfm.cells, inside)
+    homes = map((1).__add__, map(tuple.index, rows, itertools.compress(sizes, inside)))
+    passed = bytearray(map(eq, homes, itertools.compress(f.assignment, inside)))
+    parts, subjects = bytearray(b"\x01" * len(passed)), []
     # object by object: x lies in its own class's lower approximation when
     # its granule meets that class alone; lemma part 2 holds for class j
     # when f maps all nl_j such objects to j
@@ -343,13 +414,18 @@ def verify_theorems(
     hits = map(eq, map(wanted.__getitem__, labels), classes)
     kept = Counter(itertools.compress(classes, hits))
     for j, nl in enumerate(true_nl):
-        lemma_checks.append(LemmaCheck(2, j + 1, kept[j] == nl))
+        parts.append(2)
+        subjects.append(j + 1)
+        passed.append(kept[j] == nl)
     for i, row in enumerate(cm.cells):
         if row[i] == 0:
-            lemma_checks.append(LemmaCheck(3, i + 1, not any(row)))
+            parts.append(3)
+            subjects.append(i + 1)
+            passed.append(not any(row))
 
     ctx.setdefault("row_maximal", "yes" if bounds.mrc_classifier else "no")
-    return TheoremReport(True, tuple(bound_checks), tuple(lemma_checks), ctx)
+    report = TheoremReport.__new__(TheoremReport)
+    return report._fill(True, list(zip(*chains)), (parts, inside, subjects), passed, ctx)
 
 
 @dataclass(frozen=True)
@@ -459,13 +535,11 @@ def run_fuzz_trials(
                 failures += 1
                 if first is None:
                     failed = tuple(
-                        f"theorem{c.theorem}/class{c.class_index}"
-                        for c in report.bound_checks
-                        if not c.passed
+                        f"theorem{theorem}/class{j}"
+                        for theorem, j, _ in report._failed_bounds()
                     ) + tuple(
-                        f"lemma1.{c.part}/{c.subject}"
-                        for c in report.lemma_checks
-                        if not c.passed
+                        f"lemma1.{part}/{subject}"
+                        for part, subject in report._failed_lemmas()
                     )
                     if not report.applicable:
                         failed = ("not-applicable",)

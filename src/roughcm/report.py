@@ -10,16 +10,17 @@ The form is described once, by _sections: the top-level (key, value)
 sections in order (input, granules, decision_classes, granule_matrix,
 classifier, confusion_matrix, indices, bounds, theorems), where each list
 that grows with the table (the partitions, the gfm rows and granule
-sizes, the assignment, the lemma checks) is an iterator of its items.
-report_to_dict draws the sections into one dict. Saving and loading each
-make one walk over that form. report_to_json writes exactly
-json.dumps(report_to_dict(r), indent=2) and a newline through one writer,
-_parts, that handles only the JSON types the dict holds: a dict a value
-at a time, an iterator _CHUNK items at a time. render_text likewise makes
-its text in parts, the lines that grow with the table _CHUNK at a time
-and a decision class's ids _CHUNK at a time. Both join their parts; the
-command line writes the parts as they come, so neither the whole dict nor
-the whole text is ever held.
+sizes, the assignment) is an iterator of its items, and the lemma checks
+are a _Table of the theorem record's columns. report_to_dict draws the
+sections into one dict. Saving and loading each make one walk over that
+form. report_to_json writes exactly json.dumps(report_to_dict(r),
+indent=2) and a newline through one writer, _parts, that handles only the
+JSON types the dict holds: a dict a value at a time, an iterator at most
+_CHUNK items or row members a part, a _Table _CHUNK rows a part. render_text
+likewise makes its text in parts, the lines that grow with the table
+_CHUNK at a time and a decision class's ids _CHUNK at a time. Both join
+their parts; the command line writes the parts as they come, so neither
+the whole dict nor the whole text is ever held.
 
 report_from_dict reads only the facts (the partitions, the assignment
 and the provenance), requires each to have its JSON type, and passes
@@ -34,12 +35,13 @@ report writes.
 from __future__ import annotations
 
 import reprlib
+from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import chain, count, filterfalse, islice, repeat, starmap
+from itertools import accumulate, chain, count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _escape
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from typing import TypeVar
 
 from .classifiers import (
@@ -248,15 +250,23 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
     return _drawn(dict(_sections(report)))
 
 
+class _Table(dict):
+    """A list of dicts that share their keys, given as a dict of columns,
+    each an iterable of JSON scalars: the lemma checks as the theorem
+    record keeps them. _parts writes it with one %-template per _CHUNK
+    rows and _difference compares a stored list against it column by
+    column, neither with a dict per row unless the lists differ."""
+
+
 def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     """The report's JSON form, one top-level (key, value) section at a time.
 
     The only description of that form: report_to_dict draws it whole,
     _parts writes it and _difference compares a stored dict against it,
     each in one walk. Each list whose length grows with the table (the
-    partitions, the gfm rows and granule sizes, the assignment and the
-    lemma checks) is given as an iterator of its items, so a section is
-    cheap until its lists are drawn or written.
+    partitions, the gfm rows and granule sizes, the assignment) is given
+    as an iterator of its items and the lemma checks as a _Table, so a
+    section is cheap until its lists are drawn or written.
     """
     gfm = report.frequency
     cm = report.confusion
@@ -320,6 +330,8 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
             for j, cb in enumerate(report.bounds.classes, start=1)
         ],
     }
+    parts, subjects = report.theorems._lemma_columns()
+    passed = map(bool, report.theorems._lemmas_passed)
     yield "theorems", {
         "applicable": report.theorems.applicable,
         "overall_pass": report.theorems.overall_pass,
@@ -332,10 +344,7 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
             }
             for c in report.theorems.bound_checks
         ],
-        "lemma_checks": (
-            {"part": c.part, "subject": c.subject, "passed": c.passed}
-            for c in report.theorems.lemma_checks
-        ),
+        "lemma_checks": _Table(part=parts, subject=subjects, passed=passed),
         "context": dict(report.theorems.context),
     }
 
@@ -344,6 +353,8 @@ def _drawn(value: object) -> object:
     """A section value with its iterators drawn into lists: plain JSON data."""
     if isinstance(value, Iterator):
         return list(value)
+    if type(value) is _Table:
+        return list(map(dict, map(zip, repeat(list(value)), zip(*value.values()))))
     if type(value) is dict:
         return {key: _drawn(item) for key, item in value.items()}
     return value
@@ -400,12 +411,26 @@ def _difference(stored: object, derived: object, path: str = "") -> str | None:
     different lengths are named with both lengths and the index of their
     first differing entry. A list of one scalar type, or of lists of ints,
     is first compared with one `==` and one type pass, with no Python call
-    per item; a list of dicts that share their keys is compared column by
-    column, so each column can take the same path. A list is walked item
-    by item only when these find a difference or do not apply.
+    per item; a _Table is compared column by column, so each column can
+    take the same path, and drawn into dicts only to name a difference. A
+    list is walked item by item only when these find a difference or do
+    not apply.
     """
     if isinstance(derived, Iterator):
         derived = list(derived)
+    elif type(derived) is _Table:
+        derived = _Table(zip(derived, map(list, derived.values())))
+        columns = (list(map(itemgetter(key), stored)) for key in derived)
+        if (
+            type(stored) is list
+            and {len(stored)} == set(map(len, derived.values()))
+            and _types(stored) == {dict}
+            and all(map(eq, map(dict.keys, stored), repeat(derived.keys())))
+            and not any(starmap(_difference, zip(columns, derived.values())))
+        ):
+            return None
+        # drawn only to name the difference
+        derived = _drawn(derived)
     kind = type(derived)
     where = path or "top level"
     if type(stored) is not kind or kind not in (dict, list):
@@ -434,15 +459,6 @@ def _difference(stored: object, derived: object, path: str = "") -> str | None:
                     and _types(chain.from_iterable(stored)) <= {int}
                 ):
                     return None
-            elif types == {dict} and _types(stored) == types:
-                keys = derived[0].keys()
-                if all(map(eq, map(dict.keys, chain(stored, derived)), repeat(keys))):
-                    columns = (
-                        (list(map(column, stored)), list(map(column, derived)))
-                        for column in map(itemgetter, keys)
-                    )
-                    if not any(starmap(_difference, columns)):
-                        return None
         entries = zip(count(), stored, derived)
     prefix = f"{path}." if path else ""
     difference = None
@@ -545,7 +561,8 @@ def _json_parts(report: AnalysisReport) -> Iterator[str]:
 
 def _parts(value: object, pad: str) -> Iterator[str]:
     """`_json(value, pad)` in parts: a dict a value at a time, an iterator
-    as the list of its items _CHUNK at a time, anything else whole."""
+    or a _Table as the list of its items in groups of at most _CHUNK
+    items, anything else whole."""
     inner = pad + "  "
     if type(value) is dict:
         lead = "{"
@@ -554,14 +571,60 @@ def _parts(value: object, pad: str) -> Iterator[str]:
             lead = ","
             yield from _parts(item, inner)
         yield "{}" if lead == "{" else f"\n{pad}}}"
-    elif isinstance(value, Iterator):
+    elif isinstance(value, Iterator) or type(value) is _Table:
         lead = "["
-        for entries in map(_entries, _chunks(value), repeat(inner)):
-            yield f"{lead}\n{inner}{entries}"
+        groups = _template_rows(value, inner) if type(value) is _Table else _groups(value, inner)
+        for group in groups:
+            yield f"{lead}\n{inner}"
+            yield from group
             lead = ","
         yield "[]" if lead == "[" else f"\n{pad}]"
     else:
         yield _json(value, pad)
+
+
+def _groups(items: Iterator[object], inner: str) -> Iterator[Iterable[str]]:
+    """The entries of the list of `items` as `_entries` lays them out, in
+    groups of parts, drawing _CHUNK items at a time. In a list of lists
+    each member counts as an item: rows go out whole while a group holds
+    at most _CHUNK members, and a longer row alone, _CHUNK ints a part."""
+    for chunk in _chunks(items):
+        if _types(chunk) != {list}:
+            yield [_entries(chunk, inner)]
+            continue
+        ends = list(accumulate(map(len, chunk)))
+        start = 0
+        while start < len(chunk):
+            stop = bisect_right(ends, (ends[start - 1] if start else 0) + _CHUNK, start)
+            if stop > start:
+                yield [_entries(chunk[start:stop], inner)]
+            else:
+                yield _parts(iter(chunk[start]), inner)
+                stop += 1
+            start = stop
+
+
+def _template_rows(table: _Table, inner: str) -> Iterator[list[str]]:
+    """The entries of a _Table's list as `_entries` lays them out, _CHUNK
+    rows a part, each part one %-template filled with the rows' values."""
+    field_pad = inner + "  "
+    fields = (f"\n{field_pad}{_escape(key).replace('%', '%%')}: %s" for key in table)
+    item = "{" + ",".join(fields) + f"\n{inner}}}"
+    sep = f",\n{inner}"
+    for columns in zip(*map(_chunks, table.values())):
+        values = chain.from_iterable(zip(*map(_scalar_texts, columns)))
+        yield [sep.join(repeat(item, len(columns[0]))) % tuple(values)]
+
+
+def _scalar_texts(column: list[object]) -> list[object]:
+    """A chunk of JSON scalars as %s writes them: ints as they are, bools
+    as their JSON words, anything else as its JSON text."""
+    types = _types(column)
+    if types == {int}:
+        return column
+    if types == {bool}:
+        return list(map(("false", "true").__getitem__, column))
+    return [_json(value, "") for value in column]
 
 
 def _json(value: object, pad: str) -> str:
@@ -569,8 +632,8 @@ def _json(value: object, pad: str) -> str:
 
     Dicts with str keys, lists, str, int, bool and None; any other type
     raises TypeError instead of changing the layout. json.dumps runs a
-    pure-Python encoder whenever it indents; here each container is one
-    str.join, and a list of ints, or of nonempty lists of ints (the rows
+    pure-Python encoder whenever it indents; here a container is _parts
+    joined, and a list of ints, or of nonempty lists of ints (the rows
     that grow with the granule count), is laid out without a Python call
     per item or row.
     """
@@ -585,15 +648,8 @@ def _json(value: object, pad: str) -> str:
         return int.__repr__(value)
     if kind is str:
         return _escape(value)
-    inner = pad + "  "
-    if kind is list:
-        return f"[\n{inner}{_entries(value, inner)}\n{pad}]" if value else "[]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        sep = ",\n" + inner
-        body = sep.join([f"{_escape(k)}: {_json(v, inner)}" for k, v in value.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list or kind is dict:
+        return "".join(_parts(iter(value) if kind is list else value, pad))
     raise TypeError(f"report JSON cannot hold a {kind.__name__}")
 
 
@@ -806,22 +862,19 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
     if not thm.applicable:
         lines.append("Theorem checks: not applicable (overlap rule violated)")
     else:
-        passed = attrgetter("passed")
-        failed_bounds = list(filterfalse(passed, thm.bound_checks))
-        failed_lemmas = list(filterfalse(passed, thm.lemma_checks))
-        n_bounds = len(thm.bound_checks)
-        n_lemmas = len(thm.lemma_checks)
+        failed_bounds = thm._failed_bounds()
+        failed_lemmas = thm._failed_lemmas()
+        n_bounds = len(thm._bounds_passed)
+        n_lemmas = len(thm._lemmas_passed)
         verdict = "FAIL" if failed_bounds or failed_lemmas else "PASS"
         lines.append(
             f"Theorem checks: {n_bounds - len(failed_bounds)}/{n_bounds} bound chains, "
             f"{n_lemmas - len(failed_lemmas)}/{n_lemmas} lemma checks -> {verdict}"
         )
-        for c in failed_bounds:
-            chain = " <= ".join(map(str, c.chain))
-            lines.append(
-                f"  FAILED theorem {c.theorem}, class {c.class_index}: {chain}"
-            )
-        for c in failed_lemmas:
-            lines.append(f"  FAILED lemma part {c.part}, subject {c.subject}")
+        for theorem, j, links in failed_bounds:
+            links = " <= ".join(map(str, links))
+            lines.append(f"  FAILED theorem {theorem}, class {j}: {links}")
+        for part, subject in failed_lemmas:
+            lines.append(f"  FAILED lemma part {part}, subject {subject}")
     lines.append("")
     yield "\n".join(lines)

@@ -10,6 +10,12 @@ of 20 values, 5 classes, 18,804 granules), measured in this test:
 a frozenset, 6,989,708 bytes (349 per object) with the blocks kept as
 member tuples. 450 bytes per object lies between the two.
 
+A second gate on the same table: 6,160,402 bytes (308 per object) while
+the theorem record kept one LemmaCheck per check and the frequency matrix
+one tuple per row, 2,476,853 bytes (124 per object) with the checks kept
+as columns and equal rows sharing one tuple. 220 bytes per object lies
+between the two.
+
 On a coarse table (20,000 rows, 4 attributes of 6 values, 5 classes,
 1,296 granules) the theorem verifier sets the analysis's peak above its
 start. Measured as this test measures: 1,923,500 bytes (96 per object)
@@ -29,6 +35,7 @@ from conftest import build_system
 from roughcm import analyze_decision_system
 
 BYTES_PER_OBJECT = 450
+COLUMNAR_BYTES_PER_OBJECT = 220
 PEAK_BYTES_PER_OBJECT = 75
 
 
@@ -63,6 +70,23 @@ def test_an_analysis_retains_at_most_450_bytes_per_object():
     n = report.n_objects
     assert n == 20_000
     assert retained <= BYTES_PER_OBJECT * n, f"{retained:,} bytes, {retained / n:.0f} per object"
+
+
+def test_an_analysis_with_a_columnar_theorem_record_retains_at_most_220_bytes_per_object():
+    header, rows = _table(7, 20_000, 4, 20, 5)
+    ds = build_system(header, rows)
+    del rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = analyze_decision_system(ds, ds.condition_names)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    n = report.n_objects
+    assert n == 20_000
+    limit = COLUMNAR_BYTES_PER_OBJECT * n
+    assert retained <= limit, f"{retained:,} bytes, {retained / n:.0f} per object"
 
 
 def test_a_coarse_analysis_peaks_at_most_75_bytes_per_object_above_its_start():

@@ -24,7 +24,7 @@ from .matrices import GranuleFrequencyMatrix
 from .oracle import FuzzSummary, run_fuzz_trials
 from .report import AnalysisReport, _json_parts, _text_parts, analyze_decision_system
 
-__all__ = ["ingest_csv", "run_analyze", "write_report", "run_fuzz", "main"]
+__all__ = ["ingest_csv", "run_analyze", "write_report", "main"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,16 +148,6 @@ def write_report(report: AnalysisReport, fmt: str, out: TextIO) -> None:
         out.write(part)
 
 
-def run_fuzz(args: argparse.Namespace) -> FuzzSummary:
-    """Run the randomized theorem verification with both classifier kinds."""
-    return run_fuzz_trials(
-        trials=args.trials,
-        base_seed=args.seed,
-        max_objects=args.max_objects,
-        max_classes=args.max_classes,
-    )
-
-
 def _fuzz_to_dict(summary: FuzzSummary) -> dict[str, object]:
     failure = summary.first_failure
     return {
@@ -255,7 +245,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "analyze":
             write_report(run_analyze(args), args.format, sys.stdout)
             return 0
-        summary = run_fuzz(args)
+        # with both classifier kinds, the default
+        summary = run_fuzz_trials(args.trials, args.seed, args.max_objects, args.max_classes)
         sys.stdout.write(_render_fuzz(summary, args.format))
         return 0 if summary.failures == 0 else 1
     except OverlapViolationError as exc:

@@ -21,6 +21,12 @@ pairs into one set per class and reads a granule as inside class j when
 class j alone meets it. `oracle_lower` and `oracle_upper` stay as the
 per-element routes the tests hold the verifier to.
 
+The verifier's inputs come from one chain, _judge: the overlap
+validation, the confusion matrix, its bounds and the theorem record
+built, in that order, from one frequency matrix and classifier. The
+analysis, the report load and every fuzz trial call it, and nothing else
+in the package calls those stages (tests/test_one_judgement.py).
+
 The generator is fully deterministic given its seed: every draw is the
 one random.Random's randrange or choice makes from that seed (Mersenne
 Twister; the algorithm id, GENERATOR_ID, is recorded in fuzz summaries so
@@ -44,6 +50,7 @@ from operator import attrgetter, contains, eq, le, not_
 from .classifiers import (
     RoughClassifier,
     TieBreak,
+    ValidationReport,
     is_row_maximal,
     maximal_row_classifier,
     validate_overlap,
@@ -428,6 +435,19 @@ def verify_theorems(
     return report._fill(True, list(zip(*chains)), (parts, inside, subjects), passed, ctx)
 
 
+def _judge(
+    gfm: GranuleFrequencyMatrix, f: RoughClassifier, context: Mapping[str, str]
+) -> tuple[ValidationReport, RoughConfusionMatrix, BoundsReport, TheoremReport]:
+    """Every stage that follows from a frequency matrix and a classifier,
+    each built once: the overlap validation, the confusion matrix, its
+    bounds and the theorem record. An analysis, a report load and a fuzz
+    trial all take them from here."""
+    validation = validate_overlap(f, gfm)
+    cm = confusion_matrix(gfm, f)
+    bounds = confusion_bounds(cm, validation, is_row_maximal(f, gfm))
+    return validation, cm, bounds, verify_theorems(gfm, f, cm, bounds, context)
+
+
 @dataclass(frozen=True)
 class TrialFailure:
     """First counterexample of a fuzz run, with everything needed to replay it."""
@@ -472,12 +492,11 @@ def run_fuzz_trials(
 
     Every trial derives its own seed from (base_seed, trial index), draws
     system sizes, generates the system, picks a random nonempty attribute
-    subset, builds the frequency matrix once, and hands the verifier the
-    stages built for each requested classifier kind: "mrc" builds a
-    maximal row classifier under a randomly drawn tie-break policy,
-    "random" draws a uniformly random overlap-satisfying classifier. The
-    summary counts checks and failures and keeps the first counterexample,
-    if any.
+    subset, builds the frequency matrix once, and judges it through _judge
+    with each requested classifier kind: "mrc" builds a maximal row
+    classifier under a randomly drawn tie-break policy, "random" draws a
+    uniformly random overlap-satisfying classifier. The summary counts
+    checks and failures and keeps the first counterexample, if any.
     """
     for name, value in (
         ("trials", trials),
@@ -488,10 +507,13 @@ def run_fuzz_trials(
         _require_int(name, value)
     if trials < 0:
         raise GeneratorConfigError(f"trials must be non-negative, got {trials}")
-    if not 2 <= max_objects <= 100:
-        raise GeneratorConfigError(f"max_objects must be in 2..100, got {max_objects}")
-    if not 2 <= max_classes <= 8:
-        raise GeneratorConfigError(f"max_classes must be in 2..8, got {max_classes}")
+    # a trial's system may take the largest sizes its config allows
+    for name, value, (lo, hi) in (
+        ("max_objects", max_objects, _CONFIG_RANGES["n_objects"]),
+        ("max_classes", max_classes, _CONFIG_RANGES["n_decision_values"]),
+    ):
+        if not lo <= value <= hi:
+            raise GeneratorConfigError(f"{name} must be in {lo}..{hi}, got {value}")
     kinds = tuple(classifier_kinds)
     if not kinds or any(kind not in ("mrc", "random") for kind in kinds):
         raise GeneratorConfigError(
@@ -526,10 +548,7 @@ def run_fuzz_trials(
                 f = random_overlap_classifier(gfm, rng.getrandbits(64))
                 context = {"classifier": "random-overlap", "tie_break": "-"}
             context["generator"] = GENERATOR_ID
-            cm = confusion_matrix(gfm, f)
-            validation = validate_overlap(f, gfm)
-            bounds = confusion_bounds(cm, validation, is_row_maximal(f, gfm))
-            report = verify_theorems(gfm, f, cm, bounds, context)
+            *_, report = _judge(gfm, f, context)
             checks += 1
             if not (report.applicable and report.overall_pass):
                 failures += 1

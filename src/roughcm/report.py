@@ -15,21 +15,24 @@ are a _Table of the theorem record's columns. report_to_dict draws the
 sections into one dict. Saving and loading each make one walk over that
 form. report_to_json writes exactly json.dumps(report_to_dict(r),
 indent=2) and a newline through one writer, _parts, that handles only the
-JSON types the dict holds: a dict a value at a time, an iterator at most
-_CHUNK items or row members a part, a _Table _CHUNK rows a part. render_text
-likewise makes its text in parts, the lines that grow with the table
-_CHUNK at a time and a decision class's ids _CHUNK at a time. Both join
-their parts; the command line writes the parts as they come, so neither
-the whole dict nor the whole text is ever held.
+JSON types the dict holds: a dict a value at a time, a list or an
+iterator at most _CHUNK items or row members a part, a _Table _CHUNK rows
+a part, and a scalar through _scalar, the one place a type is refused.
+render_text likewise makes its text in parts, the lines that grow with
+the table _CHUNK at a time and a decision class's ids _CHUNK at a time.
+Both join their parts; the command line writes the parts as they come, so
+neither the whole dict nor the whole text is ever held.
 
-report_from_dict reads only the facts (the partitions, the assignment
-and the provenance), requires each to have its JSON type, and passes
-them through the assembly analyze_decision_system uses, the theorem
-verifier included; the stored dict must then equal the rebuilt report's
-dict, JSON type for JSON type. One comparison, _difference, walks the
-stored dict and the sections together and draws each derived list only
-when it reaches it. A dict loads exactly when it is what saving its
-report writes.
+The stages after the classifier (the overlap validation, the confusion
+matrix, its bounds and the theorem record) come from one call to the
+oracle's _judge, as in each fuzz trial. report_from_dict reads only the
+facts (the partitions, the assignment and the provenance), requires each
+to have its JSON type, and passes them through the assembly
+analyze_decision_system uses; the stored dict must then equal the rebuilt
+report's dict, JSON type for JSON type. One comparison, _difference,
+walks the stored dict and the sections together and draws each derived
+list only when it reaches it. A dict loads exactly when it is what saving
+its report writes.
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ from .classifiers import (
     RoughClassifier,
     TieBreak,
     ValidationReport,
-    is_row_maximal,
     maximal_row_classifier,
     success_ratio,
-    validate_overlap,
 )
 from .core import (
     DecisionSystem,
@@ -67,15 +68,9 @@ from .indices import (
     alpha_hat_overall,
     alpha_hat_per_class,
     approximation_summary,
-    confusion_bounds,
 )
-from .matrices import (
-    GranuleFrequencyMatrix,
-    RoughConfusionMatrix,
-    confusion_matrix,
-    granule_frequency_matrix,
-)
-from .oracle import TheoremReport, verify_theorems
+from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, granule_frequency_matrix
+from .oracle import TheoremReport, _judge
 
 __all__ = [
     "AnalysisReport",
@@ -217,17 +212,17 @@ def _assemble(
     seed: int | None,
 ) -> AnalysisReport:
     """Build every stage that follows from the frequency matrix, the
-    classifier and the provenance; an analysis and a report load share it."""
-    validation = validate_overlap(f, gfm)
-    if not validation.satisfies_rule:
-        raise OverlapViolationError(validation.violations)
-    cm = confusion_matrix(gfm, f)
-    bounds = confusion_bounds(cm, validation, is_mrc=is_row_maximal(f, gfm))
+    classifier and the provenance; an analysis and a report load share it.
+    A classifier that breaks the overlap rule raises OverlapViolationError
+    once _judge has built its stages."""
     context = {
         "classifier": kind,
         "tie_break": tie_break if tie_break is not None else "-",
         "seed": str(seed) if seed is not None else "-",
     }
+    validation, cm, bounds, theorems = _judge(gfm, f, context)
+    if not validation.satisfies_rule:
+        raise OverlapViolationError(validation.violations)
     return AnalysisReport(
         source=source,
         attribute_names=attribute_names,
@@ -241,7 +236,7 @@ def _assemble(
         confusion=cm,
         approximation=approximation_summary(gfm),
         bounds=bounds,
-        theorems=verify_theorems(gfm, f, cm, bounds, context),
+        theorems=theorems,
     )
 
 
@@ -330,22 +325,18 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
             for j, cb in enumerate(report.bounds.classes, start=1)
         ],
     }
-    parts, subjects = report.theorems._lemma_columns()
-    passed = map(bool, report.theorems._lemmas_passed)
+    theorems = report.theorems
+    parts, subjects = theorems._lemma_columns()
+    passed = map(bool, theorems._lemmas_passed)
     yield "theorems", {
-        "applicable": report.theorems.applicable,
-        "overall_pass": report.theorems.overall_pass,
+        "applicable": theorems.applicable,
+        "overall_pass": theorems.overall_pass,
         "bound_checks": [
-            {
-                "theorem": c.theorem,
-                "class": c.class_index,
-                "chain": list(c.chain),
-                "passed": c.passed,
-            }
-            for c in report.theorems.bound_checks
+            {"theorem": theorem, "class": j, "chain": list(links), "passed": bool(holds)}
+            for theorem, j, links, holds in zip(*theorems._bounds, theorems._bounds_passed)
         ],
         "lemma_checks": _Table(part=parts, subject=subjects, passed=passed),
-        "context": dict(report.theorems.context),
+        "context": dict(theorems.context),
     }
 
 
@@ -560,30 +551,37 @@ def _json_parts(report: AnalysisReport) -> Iterator[str]:
 
 
 def _parts(value: object, pad: str) -> Iterator[str]:
-    """`_json(value, pad)` in parts: a dict a value at a time, an iterator
-    or a _Table as the list of its items in groups of at most _CHUNK
-    items, anything else whole."""
+    """`json.dumps(value, indent=2)` in parts, for the values _sections
+    gives: a dict a value at a time; a list, an iterator or a _Table as a
+    list of its items in groups of at most _CHUNK items; a scalar through
+    _scalar, so any other type raises TypeError instead of changing the
+    layout. json.dumps runs a pure-Python encoder whenever it indents;
+    here a list of ints, or of nonempty lists of ints (the rows that grow
+    with the granule count), is laid out without a Python call per item or
+    row.
+    """
     inner = pad + "  "
-    if type(value) is dict:
+    kind = type(value)
+    if kind is dict:
         lead = "{"
         for key, item in value.items():
             yield f"{lead}\n{inner}{_escape(key)}: "
             lead = ","
             yield from _parts(item, inner)
         yield "{}" if lead == "{" else f"\n{pad}}}"
-    elif isinstance(value, Iterator) or type(value) is _Table:
+    elif kind is list or kind is _Table or isinstance(value, Iterator):
         lead = "["
-        groups = _template_rows(value, inner) if type(value) is _Table else _groups(value, inner)
+        groups = _template_rows(value, inner) if kind is _Table else _groups(value, inner)
         for group in groups:
             yield f"{lead}\n{inner}"
             yield from group
             lead = ","
         yield "[]" if lead == "[" else f"\n{pad}]"
     else:
-        yield _json(value, pad)
+        yield _scalar(value)
 
 
-def _groups(items: Iterator[object], inner: str) -> Iterator[Iterable[str]]:
+def _groups(items: Iterable[object], inner: str) -> Iterator[Iterable[str]]:
     """The entries of the list of `items` as `_entries` lays them out, in
     groups of parts, drawing _CHUNK items at a time. In a list of lists
     each member counts as an item: rows go out whole while a group holds
@@ -599,7 +597,7 @@ def _groups(items: Iterator[object], inner: str) -> Iterator[Iterable[str]]:
             if stop > start:
                 yield [_entries(chunk[start:stop], inner)]
             else:
-                yield _parts(iter(chunk[start]), inner)
+                yield _parts(chunk[start], inner)
                 stop += 1
             start = stop
 
@@ -617,26 +615,14 @@ def _template_rows(table: _Table, inner: str) -> Iterator[list[str]]:
 
 
 def _scalar_texts(column: list[object]) -> list[object]:
-    """A chunk of JSON scalars as %s writes them: ints as they are, bools
-    as their JSON words, anything else as its JSON text."""
-    types = _types(column)
-    if types == {int}:
-        return column
-    if types == {bool}:
-        return list(map(("false", "true").__getitem__, column))
-    return [_json(value, "") for value in column]
+    """A chunk of a _Table column as %s writes it: ints as they are, the
+    rest (the theorem record's bools) as _scalar writes them."""
+    return column if _types(column) == {int} else list(map(_scalar, column))
 
 
-def _json(value: object, pad: str) -> str:
-    """`json.dumps(value, indent=2)` for the values report_to_dict emits.
-
-    Dicts with str keys, lists, str, int, bool and None; any other type
-    raises TypeError instead of changing the layout. json.dumps runs a
-    pure-Python encoder whenever it indents; here a container is _parts
-    joined, and a list of ints, or of nonempty lists of ints (the rows
-    that grow with the granule count), is laid out without a Python call
-    per item or row.
-    """
+def _scalar(value: object) -> str:
+    """The JSON text of None, a bool, an int or a str; any other type
+    raises TypeError."""
     if value is None:
         return "null"
     if value is True:
@@ -648,13 +634,11 @@ def _json(value: object, pad: str) -> str:
         return int.__repr__(value)
     if kind is str:
         return _escape(value)
-    if kind is list or kind is dict:
-        return "".join(_parts(iter(value) if kind is list else value, pad))
     raise TypeError(f"report JSON cannot hold a {kind.__name__}")
 
 
 def _entries(value: list[object], inner: str) -> str:
-    """The entries of a nonempty list as `_json` lays them out, between
+    """The entries of a nonempty list as `_parts` lays them out, between
     its brackets."""
     sep = ",\n" + inner
     types = _types(value)
@@ -665,7 +649,7 @@ def _entries(value: list[object], inner: str) -> str:
         rows = map(f",\n{row_pad}".join, map(map, repeat(int.__repr__), value))
         body = f"\n{inner}]{sep}[\n{row_pad}".join(rows)
         return f"[\n{row_pad}{body}\n{inner}]"
-    return sep.join([_json(item, inner) for item in value])
+    return sep.join(["".join(_parts(item, inner)) for item in value])
 
 
 def _chunks(items: Iterable[_T]) -> Iterator[list[_T]]:

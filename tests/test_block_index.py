@@ -1,9 +1,10 @@
-"""The object-to-block map a partition builds once, and every route that reads it.
+"""The object-to-block map a partition builds on first read, and the routes
+checked against it.
 
 `Partition.block_index` sends each object to the 0-based index of its block
-in canonical order. The gfm count, the oracle and `deterministic_region`
-read it; `lower_approximation`/`upper_approximation` do not, so comparing
-them with the oracle compares two routes.
+in canonical order. Only the per-element oracles, `oracle_lower` and
+`oracle_upper`, read it; `lower_approximation`/`upper_approximation` do
+not, so comparing them with the oracles compares two routes.
 
 A partition stores each block once, as the ascending tuple of its members
 (`_members`), and builds `blocks`, the frozensets, only when it is read;

@@ -85,6 +85,10 @@ class TestApproximationSummary:
         with pytest.raises(ValueError, match="lower_size <= size <= upper_size"):
             ClassApproximation(size=3, lower_size=4, upper_size=4)
 
+    def test_an_empty_class_is_refused(self):
+        with pytest.raises(ValueError, match="decision classes are nonempty"):
+            ClassApproximation(0, 0, 0)
+
     @given(pair=partition_pairs())
     def test_matches_the_set_approximations(self, pair):
         granules, decisions = pair
@@ -303,6 +307,10 @@ class TestConfusionBoundsReference:
 
 
 class TestBoundsReportInvariants:
+    def test_a_report_needs_a_class(self):
+        with pytest.raises(ValueError, match="a bounds report needs at least one class"):
+            BoundsReport((), True, False)
+
     def test_mrc_flag_requires_sharp_estimators(self):
         cb = ClassBounds(3, 3, 2, 4, 4, None, None, False)
         with pytest.raises(ValueError, match="estimators missing"):

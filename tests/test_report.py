@@ -37,7 +37,7 @@ from roughcm import (
     verify_theorems,
 )
 import roughcm.report as report_module
-from roughcm.report import _json
+from roughcm.report import _parts
 
 from conftest import build_system
 
@@ -242,21 +242,21 @@ class TestJsonWriter:
     @example([[1, -2], [3]])
     @example([[1], []])
     def test_matches_json_dumps(self, value):
-        assert _json(value, "") == json.dumps(value, indent=2)
+        assert "".join(_parts(value, "")) == json.dumps(value, indent=2)
 
     @pytest.mark.parametrize(
         "value", [1.5, (1, 2), {1: 2}, [1, 2.5], [[1], [2.5]], {"a": [(1,)]}]
     )
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
-            _json(value, "")
+            "".join(_parts(value, ""))
 
     @given(st.dictionaries(st.text(), _json_values), st.integers(1, 3))
     @example({"a": [], "b": {"c": [[1], [2, 3], [4]]}, "d": {}}, 2)
     def test_lists_given_as_iterators_are_written_in_chunks(self, value, chunk):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(report_module, "_CHUNK", chunk)
-            parts = report_module._parts(_lazy(value), "")
+            parts = _parts(_lazy(value), "")
             assert "".join(parts) == json.dumps(value, indent=2)
 
 

@@ -126,7 +126,7 @@ def run_analyze(args: argparse.Namespace) -> AnalysisReport:
 
     def parse_mapping(gfm: GranuleFrequencyMatrix) -> RoughClassifier:
         # read once the analysis has built the granules the file numbers
-        text = Path(args.classifier).read_text(encoding="utf-8")
+        text = Path(args.classifier).read_text(encoding="utf-8-sig")
         return classifier_from_text(text, gfm.m, gfm.k)
 
     return analyze_decision_system(

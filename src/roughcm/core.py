@@ -241,13 +241,13 @@ class Partition:
     _labels: list[int] = field(compare=False)
 
     def __init__(self, blocks: Iterable[Iterable[int]]) -> None:
-        sets = list(map(set, blocks))
-        if not sets:
-            raise ValueError("a partition needs at least one block")
-        if not all(sets):
-            raise ValueError("partition blocks must be nonempty")
+        # each block's set lives only while its member tuple is made;
         # disjoint blocks differ in their first, smallest member
-        members = tuple(sorted(map(tuple, map(sorted, sets))))
+        members = tuple(sorted(map(tuple, map(sorted, map(set, blocks)))))
+        if not members:
+            raise ValueError("a partition needs at least one block")
+        if not all(members):
+            raise ValueError("partition blocks must be nonempty")
         index = {x: i for i, block in enumerate(members) for x in block}
         if sum(map(len, members)) != len(index):
             raise ValueError("partition blocks must be pairwise disjoint")

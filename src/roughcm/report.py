@@ -20,8 +20,9 @@ iterator at most _CHUNK items or row members a part, a _Table _CHUNK rows
 a part, and a scalar through _scalar, the one place a type is refused.
 render_text likewise makes its text in parts, the lines that grow with
 the table _CHUNK at a time and a decision class's ids _CHUNK at a time.
-Both join their parts; the command line writes the parts as they come, so
-neither the whole dict nor the whole text is ever held.
+Both grow one string through _whole, which holds at most a piece of
+their parts beside it; the command line writes the parts as they come,
+so neither the whole dict nor the whole text is ever held.
 
 The stages after the classifier (the overlap validation, the confusion
 matrix, its bounds and the theorem record) come from one call to the
@@ -532,7 +533,24 @@ def _rebuild(data: dict[str, object]) -> AnalysisReport:
 
 
 _CHUNK = 512  # list items or lines the writers lay out at a time
+_PIECE = 1 << 20  # characters _whole adds to its text at a time
 _T = TypeVar("_T")
+
+
+def _whole(parts: Iterable[str]) -> str:
+    """`"".join(parts)` without the parts held beside the text: CPython
+    grows in place a str only this frame holds. It grows by pieces of
+    about _PIECE characters, as a str is copied on each `+=` under a
+    profile or trace hook."""
+    text, piece, size = "", [], 0
+    for part in parts:
+        piece.append(part)
+        size += len(part)
+        if size >= _PIECE:
+            text += "".join(piece)
+            piece, size = [], 0
+    text += "".join(piece)
+    return text
 
 
 @_collector_paused
@@ -541,7 +559,7 @@ def report_to_json(report: AnalysisReport) -> str:
 
     The text is exactly `json.dumps(report_to_dict(report), indent=2) + "\\n"`.
     """
-    return "".join(_json_parts(report))
+    return _whole(_json_parts(report))
 
 
 def _json_parts(report: AnalysisReport) -> Iterator[str]:
@@ -732,7 +750,7 @@ def _frac_text(value: Fraction) -> str:
 @_collector_paused
 def render_text(report: AnalysisReport) -> str:
     """Human-oriented rendering with the two matrices laid out as tables."""
-    return "".join(_text_parts(report))
+    return _whole(_text_parts(report))
 
 
 def _text_parts(report: AnalysisReport) -> Iterator[str]:

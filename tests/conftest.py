@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 
 import pytest
@@ -37,6 +38,23 @@ def build_system(header, rows, decision=None):
         Attribute(name, columns[name]) for name in header if name != decision
     )
     return DecisionSystem(ids, conditions, Attribute(decision, columns[decision]))
+
+
+def random_table(seed, n, n_attributes, n_values, n_classes):
+    """Uniform attribute tokens; three in ten attribute combinations are
+    pure, the rest draw a decision per row (perfbench's generator)."""
+    rng = random.Random(seed)
+    header = [f"a{a}" for a in range(1, n_attributes + 1)] + ["d"]
+    tokens = [f"v{v}" for v in range(1, n_values + 1)]
+    labels = [f"c{c}" for c in range(1, n_classes + 1)]
+    fixed = {}
+    rows = []
+    for _ in range(n):
+        key = tuple(rng.choice(tokens) for _ in range(n_attributes))
+        if key not in fixed:
+            fixed[key] = rng.choice(labels) if rng.random() < 0.3 else None
+        rows.append((*key, fixed[key] or rng.choice(labels)))
+    return header, rows
 
 
 def partitions_from_counts(counts):

@@ -51,6 +51,22 @@ class TestIngestCsv:
         path.write_text("a,d\nx,p\ny,q\n", encoding="utf-8-sig")
         assert ingest_csv(path).condition_names == ("a",)
 
+    def test_utf8_bom_is_stripped_from_a_mapping_file(self, capsys, tv_csv, tmp_path):
+        mapping = tmp_path / "bom_map.txt"
+        mapping.write_text("1 1\n2 2\n3 2\n4 1\n", encoding="utf-8-sig")
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "--input",
+            str(tv_csv),
+            "--attributes",
+            "Price,Screen",
+            "--classifier",
+            str(mapping),
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["classifier"]["assignment"] == [[1, 1], [2, 2], [3, 2], [4, 1]]
+
     @pytest.mark.parametrize(
         "lines,message",
         [

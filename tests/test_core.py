@@ -93,6 +93,32 @@ class TestPartition:
         with pytest.raises(ValueError, match="disjoint"):
             Partition(blocks({1, 2}, {2, 3}))
 
+    def test_repeated_ids_inside_a_block_are_dropped(self):
+        p = Partition([[4, 2, 4], [1, 1]])
+        assert p == Partition(blocks({1}, {2, 4}))
+        assert p.universe == frozenset({1, 2, 4})
+
+    def test_blocks_given_as_generators(self):
+        supplied = (iter(block) for block in ([3, 5], [1], [4, 2]))
+        assert Partition(supplied) == Partition(blocks({1}, {2, 4}, {3, 5}))
+
+    def test_an_unhashable_member_raises_the_set_error(self):
+        with pytest.raises(TypeError, match=r"^unhashable type: 'list'$"):
+            Partition([[1], [2, [3]]])
+
+    @pytest.mark.parametrize(
+        "supplied,message",
+        [
+            (iter(()), "at least one block"),
+            ([[1, 2], [], [2, 3]], "nonempty"),
+            ([[2, 3], [1, 2], []], "nonempty"),
+            ([[2, 3], [1, 2]], "disjoint"),
+        ],
+    )
+    def test_errors_keep_their_order(self, supplied, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(supplied)
+
 
 class TestAttributePartitions:
     def test_two_attributes_give_four_granules(self, tv_system):

@@ -130,11 +130,10 @@ def granule_frequency_matrix(
 
     One counting pass over the objects: each object's granule label i and
     class label j, read from the two partitions' labels, name the flat
-    cell i * k + j it adds to. The universes are compared first, so the
-    two label sequences are aligned object by object. Equal rows are one
-    tuple: a fine table has far fewer distinct rows than granules.
+    cell i * k + j it adds to, in range even if the universes differ (the
+    constructor compares them first). Equal rows are one tuple: a fine
+    table has far fewer distinct rows than granules.
     """
-    _require_same_universe(granules, decisions)
     k = len(decisions)
     row_starts = map(mul, granules._labels, repeat(k))
     counts = Counter(map(add, row_starts, decisions._labels))

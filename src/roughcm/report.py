@@ -26,14 +26,14 @@ so neither the whole dict nor the whole text is ever held.
 
 The stages after the classifier (the overlap validation, the confusion
 matrix, its bounds and the theorem record) come from one call to the
-oracle's _judge, as in each fuzz trial. report_from_dict reads only the
-facts (the partitions, the assignment and the provenance), requires each
-to have its JSON type, and passes them through the assembly
-analyze_decision_system uses; the stored dict must then equal the rebuilt
-report's dict, JSON type for JSON type. One comparison, _difference,
-walks the stored dict and the sections together and draws each derived
-list only when it reaches it. A dict loads exactly when it is what saving
-its report writes.
+oracle's _judge, as in each fuzz trial. One assembly, _assemble, builds
+every report and checks its provenance: analyze_decision_system passes it
+the partitions it built, and report_from_dict only the facts it read (the
+partitions, the provenance and a custom assignment). The stored dict must
+then equal the rebuilt report's dict; one comparison, _difference, walks
+the stored dict and the sections together and draws each derived list
+only when it reaches it. A dict loads exactly when it is what saving its
+report writes.
 """
 
 from __future__ import annotations
@@ -185,42 +185,67 @@ def analyze_decision_system(
     explicit classifier, or a function building one from the frequency
     matrix, must satisfy the overlap rule; OverlapViolationError names the
     offending granules otherwise. `attributes=None` uses every condition
-    attribute.
+    attribute. A report load refuses no report this returns: an mrc seed
+    that is not an int (a bool included), or a source or attribute name
+    that is not a str, raises TypeError before the frequency matrix is built.
     """
     tie_break = TieBreak(tie_break)
     names = tuple(attributes) if attributes is not None else ds.condition_names
-    granules = partition_by_attributes(ds, names)
     selected = tuple(n for n in ds.condition_names if n in set(names))
-    decisions = decision_partition(ds)
-    gfm = granule_frequency_matrix(granules, decisions)
-    if classifier is None:
-        f = maximal_row_classifier(gfm, tie_break, seed)
-        provenance = ("mrc", tie_break.value, seed)
-    else:
-        f = classifier(gfm) if callable(classifier) else classifier
-        provenance = ("custom", None, None)
-    return _assemble(source, selected, ds.decision_attribute.name, gfm, f, *provenance)
+    provenance = (tie_break.value, seed) if classifier is None else (None, None)
+    return _assemble(
+        partition_by_attributes(ds, names), decision_partition(ds), classifier,
+        source, selected, ds.decision_attribute.name, *provenance,
+    )
 
 
 def _assemble(
+    granules: Partition,
+    decisions: Partition,
+    classifier: RoughClassifier | Callable[[GranuleFrequencyMatrix], RoughClassifier] | None,
     source: str,
     attribute_names: tuple[str, ...],
     decision_name: str,
-    gfm: GranuleFrequencyMatrix,
-    f: RoughClassifier,
-    kind: str,
     tie_break: str | None,
     seed: int | None,
 ) -> AnalysisReport:
-    """Build every stage that follows from the frequency matrix, the
-    classifier and the provenance; an analysis and a report load share it.
-    A classifier that breaks the overlap rule raises OverlapViolationError
-    once _judge has built its stages."""
-    context = {
-        "classifier": kind,
-        "tie_break": tie_break if tie_break is not None else "-",
-        "seed": str(seed) if seed is not None else "-",
-    }
+    """Build a report, as an analysis and a report load both do: check the
+    provenance and name rules, build the frequency matrix and the classifier
+    (None gives the maximal row classifier of `tie_break` and `seed`), then
+    the stages _judge builds; OverlapViolationError follows if the
+    classifier breaks the overlap rule."""
+    kind = "mrc" if classifier is None else "custom"
+    _require_types(
+        ("input.source", {str}, [source]),
+        ("input.decision", {str}, [decision_name]),
+        ("input.attributes entries", {str}, attribute_names),
+    )
+    # partition_by_attributes needs a name, and DecisionSystem keeps them unique
+    unique = set(attribute_names)
+    if not unique or len(unique) < len(attribute_names) or decision_name in unique:
+        raise ValueError(
+            "input.attributes must be distinct, at least one, and not the decision "
+            f"{decision_name!r}, not {reprlib.repr(list(attribute_names))}"
+        )
+    if kind == "mrc" and tie_break not in _TIE_BREAKS:
+        raise ValueError(
+            f"classifier.tie_break of an mrc classifier must be one of "
+            f"{', '.join(_TIE_BREAKS)}, not {tie_break!r}"
+        )
+    if kind == "mrc" and type(seed) is not int:
+        raise TypeError(f"classifier.seed of an mrc classifier must be int, not {seed!r}")
+    if kind == "custom" and (tie_break is not None or seed is not None):
+        raise ValueError(
+            "classifier.tie_break and classifier.seed of a custom classifier "
+            f"must be null, not {tie_break!r} and {seed!r}"
+        )
+    gfm = granule_frequency_matrix(granules, decisions)
+    if classifier is None:
+        f = maximal_row_classifier(gfm, tie_break, seed)
+    else:
+        f = classifier(gfm) if callable(classifier) else classifier
+    seed_text = "-" if seed is None else str(seed)
+    context = {"classifier": kind, "tie_break": tie_break or "-", "seed": seed_text}
     validation, cm, bounds, theorems = _judge(gfm, f, context)
     if not validation.satisfies_rule:
         raise OverlapViolationError(validation.violations)
@@ -286,7 +311,7 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
         "kind": report.classifier_kind,
         "tie_break": report.tie_break,
         "seed": report.seed,
-        "assignment": _pairs(report.classifier),
+        "assignment": map(list, enumerate(report.classifier.assignment, start=1)),
         "row_maximal": report.row_maximal,
         "satisfies_overlap": report.validation.satisfies_rule,
         "violations": list(report.validation.violations),
@@ -356,26 +381,20 @@ def _drawn(value: object) -> object:
 def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     """Rebuild a report from its dict form; inverse of report_to_dict.
 
-    Only facts are read: the partitions, the classifier assignment and the
-    provenance. The rest, the theorem record included, is rebuilt by the
-    assembly analyze_decision_system uses, and the whole dict must equal
-    the rebuilt report's dict, JSON type for JSON type (key order aside):
-    a dict loads exactly when saving its report writes it back. An mrc
-    assignment must also be the one its tie-break and seed give.
-    Malformed input raises ReportFormatError: a missing key, a value of the
-    wrong type, a part whose invariants fail, a classifier that breaks the
-    overlap rule, or a stored value that differs from the rebuilt one,
-    named by its dotted path.
+    Only facts are read: the partitions, the provenance and a custom
+    classifier's assignment. The rest, an mrc assignment and the theorem
+    record included, is rebuilt by _assemble, the assembly
+    analyze_decision_system uses, and the whole dict must equal the rebuilt
+    report's dict, JSON type for JSON type (key order aside): a dict loads
+    exactly when saving its report writes it back. Malformed input raises
+    ReportFormatError: a missing key, a value of the wrong type, a part
+    whose invariants fail, a classifier that breaks the overlap rule, or a
+    stored value that differs from the rebuilt one, named by its dotted
+    path.
     """
     try:
         report = _rebuild(data)
         difference = _difference(data, dict(_sections(report)))
-        # last, so a rewritten assignment is named where its stages differ
-        if difference is None and report.classifier_kind == "mrc":
-            best = maximal_row_classifier(report.frequency, report.tie_break, report.seed)
-            difference = _difference(
-                data["classifier"]["assignment"], _pairs(best), "classifier.assignment"
-            )
     except KeyError as exc:
         raise ReportFormatError(f"malformed report: missing key {exc}") from exc
     except (
@@ -385,10 +404,6 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
     if difference is not None:
         raise ReportFormatError(f"malformed report: {difference}")
     return report
-
-
-def _pairs(f: RoughClassifier) -> Iterator[list[int]]:
-    return map(list, enumerate(f.assignment, start=1))
 
 
 _SCALARS = {int, bool, str, type(None)}
@@ -484,52 +499,38 @@ def _type_names(types: set[type]) -> str:
 _TIE_BREAKS = [t.value for t in TieBreak]
 
 
+def _require_types(*rules: tuple[str, set[type], Iterable[object]]) -> None:
+    """Raise TypeError at the first (what, allowed types, values) rule broken."""
+    for what, allowed, values in rules:
+        wrong = _types(values) - allowed
+        if wrong:
+            raise TypeError(f"{what} must be {_type_names(allowed)}, not {_type_names(wrong)}")
+
+
 def _rebuild(data: dict[str, object]) -> AnalysisReport:
     """Read the facts and assemble the report they give."""
     meta, cls_data = data["input"], data["classifier"]
     pairs, kind = cls_data["assignment"], cls_data["kind"]
-    tie_break, seed = cls_data["tie_break"], cls_data["seed"]
     if set(map(len, pairs)) - {2}:
         raise ValueError("classifier.assignment entries must be [granule, class] pairs")
     # Facts are written back as read, so each must have the type its JSON
     # form needs: a float id or a bool class would load (1.0 == True == 1).
-    for what, allowed, values in (
+    _require_types(
         ("granule members", {int}, chain.from_iterable(data["granules"])),
         ("decision class members", {int}, chain.from_iterable(data["decision_classes"])),
         ("classifier.assignment entries", {int}, chain.from_iterable(pairs)),
-        ("input.source", {str}, [meta["source"]]),
-        ("input.decision", {str}, [meta["decision"]]),
         ("input.attributes", {list}, [meta["attributes"]]),
-        ("input.attributes entries", {str}, meta["attributes"]),
-    ):
-        wrong = _types(values) - allowed
-        if wrong:
-            raise TypeError(
-                f"{what} must be {_type_names(allowed)}, not {_type_names(wrong)}"
-            )
-    # the provenance analyze_decision_system records for each kind
-    if kind == "mrc":
-        if tie_break not in _TIE_BREAKS:
-            raise ValueError(
-                f"classifier.tie_break of an mrc classifier must be one of "
-                f"{', '.join(_TIE_BREAKS)}, not {tie_break!r}"
-            )
-        if type(seed) is not int:
-            raise TypeError(f"classifier.seed of an mrc classifier must be int, not {seed!r}")
-    elif kind == "custom":
-        if tie_break is not None or seed is not None:
-            raise ValueError(
-                "classifier.tie_break and classifier.seed of a custom classifier "
-                f"must be null, not {tie_break!r} and {seed!r}"
-            )
-    else:
-        raise ValueError(f"classifier.kind must be 'mrc' or 'custom', not {kind!r}")
-    gfm = granule_frequency_matrix(
-        Partition(data["granules"]), Partition(data["decision_classes"])
     )
-    f = RoughClassifier(tuple(cls for _, cls in pairs), gfm.k)
-    attributes = tuple(meta["attributes"])
-    return _assemble(meta["source"], attributes, meta["decision"], gfm, f, kind, tie_break, seed)
+    if kind not in ("mrc", "custom"):
+        raise ValueError(f"classifier.kind must be 'mrc' or 'custom', not {kind!r}")
+    return _assemble(
+        Partition(data["granules"]),
+        Partition(data["decision_classes"]),
+        # an mrc assignment is derived, then compared like any other stage
+        None if kind == "mrc" else lambda gfm: RoughClassifier(tuple(c for _, c in pairs), gfm.k),
+        meta["source"], tuple(meta["attributes"]), meta["decision"],
+        cls_data["tie_break"], cls_data["seed"],
+    )
 
 
 _CHUNK = 512  # list items or lines the writers lay out at a time

@@ -575,7 +575,7 @@ class TestTamperedCopies:
             ),
             (
                 _put([[1, 2], [2, 2], [3, 2], [4, 1]], "classifier", "assignment"),
-                "confusion_matrix.cells.0",
+                "classifier.assignment.0.1",
             ),
             (_put(False, "classifier", "row_maximal"), "classifier.row_maximal"),
             (_put(99, "granule_matrix", "total"), "granule_matrix.total"),

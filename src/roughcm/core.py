@@ -55,6 +55,7 @@ from .errors import (
     UniverseMismatchError,
     UnknownAttributeError,
     _listed,
+    _require_types,
 )
 
 __all__ = [
@@ -150,9 +151,10 @@ class _Column(Mapping[int, str]):
 class DecisionSystem:
     """Objects, their condition attributes, and one decision attribute.
 
-    Object ids are arbitrary distinct integers; CSV ingestion numbers rows
-    1..n. Every attribute must provide a value for every object, and the
-    decision attribute must take at least two distinct values. The
+    Object ids are arbitrary distinct ints, and any other id type, bool
+    included, raises TypeError; CSV ingestion numbers rows 1..n. Every
+    attribute must provide a value for every object, and the decision
+    attribute must take at least two distinct values. The
     constructor keeps each attribute as a column of tokens aligned with
     the ids in ascending order, the order partitions visit the objects in;
     ids that already ascend are kept as they are, not copied.
@@ -179,6 +181,8 @@ class DecisionSystem:
             ids = tuple(sorted(ids))
             if any(map(eq, ids, islice(ids, 1, None))):
                 raise ValueError("object ids must be unique")
+        # a report saves and loads int ids only; 1.0 and True are equal to 1
+        _require_types(("object ids", {int}, ids))
         names = [a.name for a in self.condition_attributes]
         names.append(self.decision_attribute.name)
         if len(set(names)) != len(names):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 __all__ = [
     "RoughAnalysisError",
@@ -28,6 +28,18 @@ def _listed(ids: Sequence[object]) -> str:
     listed = ", ".join(map(str, ids[:_SHOWN]))
     rest = len(ids) - _SHOWN
     return f"{listed} and {rest} more" if rest > 0 else listed
+
+
+def _type_names(types: set[type]) -> str:
+    return " or ".join(sorted("null" if t is type(None) else t.__name__ for t in types))
+
+
+def _require_types(*rules: tuple[str, set[type], Iterable[object]]) -> None:
+    """Raise TypeError at the first (what, allowed types, values) rule broken."""
+    for what, allowed, values in rules:
+        wrong = set(map(type, values)) - allowed
+        if wrong:
+            raise TypeError(f"{what} must be {_type_names(allowed)}, not {_type_names(wrong)}")
 
 
 class RoughAnalysisError(Exception):

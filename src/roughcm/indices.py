@@ -40,6 +40,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import eq, itemgetter, mul
 
 from .classifiers import ValidationReport, success_ratio
 from .errors import DegenerateDecisionError, UndefinedClassError
@@ -116,14 +118,19 @@ def approximation_summary(gfm: GranuleFrequencyMatrix) -> ApproximationSummary:
 
     Granule i lies in the lower approximation of class j when cell (i, j)
     holds the whole granule, and in the upper one when the cell is non-zero.
+    Both tests read only the row, and a row's sum is its granule's size
+    (the matrix checks it), so each distinct row is read once and counts
+    its size times the number of granules that have it.
     """
-    rows, blocks = gfm.cells, gfm.granules._members
+    rows = gfm._distinct
+    sizes = list(map(sum, rows))
+    mass = list(map(mul, sizes, rows.values()))
     return ApproximationSummary(
         tuple(
             ClassApproximation(
                 size=n_j,
-                lower_size=sum(s for row, s in zip(rows, map(len, blocks)) if row[j] == s),
-                upper_size=sum(s for row, s in zip(rows, map(len, blocks)) if row[j]),
+                lower_size=sum(compress(mass, map(eq, map(itemgetter(j), rows), sizes))),
+                upper_size=sum(compress(mass, map(itemgetter(j), rows))),
             )
             for j, n_j in enumerate(map(len, gfm.decisions._members))
         )

@@ -12,6 +12,7 @@ class sizes, whatever the classifier does.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -40,7 +41,9 @@ class GranuleFrequencyMatrix:
     Row sums equal granule sizes and column sums equal class sizes; both
     are checked on construction, so a value of this type is always a
     faithful contingency table of its two partitions, and its margins are
-    read off the partitions.
+    read off the partitions. The approximation summary and the report
+    writers read their row facts off `_distinct`, each distinct row once
+    with the number of granules that have it.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -61,6 +64,12 @@ class GranuleFrequencyMatrix:
         column_sums = (sum(map(itemgetter(j), cells)) for j in range(k))
         if not all(map(eq, column_sums, map(len, self.decisions._members))):
             raise ValueError("column sums must equal decision class sizes")
+
+    @functools.cached_property
+    def _distinct(self) -> Counter[tuple[int, ...]]:
+        """Each distinct row, by value and in order of first occurrence,
+        with its multiplicity; built on first read."""
+        return Counter(self.cells)
 
     @property
     def m(self) -> int:

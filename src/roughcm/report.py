@@ -10,19 +10,27 @@ The form is described once, by _sections: the top-level (key, value)
 sections in order (input, granules, decision_classes, granule_matrix,
 classifier, confusion_matrix, indices, bounds, theorems), where each list
 that grows with the table (the partitions, the gfm rows and granule
-sizes, the assignment) is an iterator of its items, and the lemma checks
-are a _Table of the theorem record's columns. report_to_dict draws the
-sections into one dict. Saving and loading each make one walk over that
-form. report_to_json writes exactly json.dumps(report_to_dict(r),
-indent=2) and a newline through one writer, _parts, that handles only the
-JSON types the dict holds: a dict a value at a time, a list or an
-iterator at most _CHUNK items or row members a part, a _Table _CHUNK rows
-a part, and a scalar through _scalar, the one place a type is refused.
-render_text likewise makes its text in parts, the lines that grow with
-the table _CHUNK at a time and a decision class's ids _CHUNK at a time.
-Both grow one string through _whole, which holds at most a piece of
-their parts beside it; the command line writes the parts as they come,
-so neither the whole dict nor the whole text is ever held.
+sizes, the assignment) is an iterator of its items, the gfm rows a _Cells
+that keeps the matrix at hand, and the lemma checks are a _Table of the
+theorem record's columns. report_to_dict draws the sections into one
+dict. Saving and loading each make one walk over that form.
+report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
+and a newline through one writer, _parts, that handles only the JSON
+types the dict holds: a dict a value at a time, a list or an iterator at
+most _CHUNK items or row members a part, a _Table _CHUNK rows a part, and
+a scalar through _scalar, the one place a type is refused. render_text
+likewise makes its text in parts, the lines that grow with the table
+_CHUNK at a time and a decision class's ids _CHUNK at a time. Both grow
+one string through _whole, which holds at most a piece of their parts
+beside it; the command line writes the parts as they come, so neither
+the whole dict nor the whole text is ever held.
+
+Rows are laid out without a Python step per row: a part of rows (granule
+members, assignment pairs, a class's ids) is one %-template, one shape
+per row length, filled from one flat tuple of their values (_fill); %s
+writes each id as str() does. The gfm rows repeat, so each distinct
+row's JSON text, or its text cells and size, is made once, and each
+granule's entry is that text, its text line its label and that text.
 
 The stages after the classifier (the overlap validation, the confusion
 matrix, its bounds and the theorem record) come from one call to the
@@ -45,7 +53,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _escape
-from operator import eq, itemgetter
+from operator import add, eq, itemgetter
 from typing import TypeVar
 
 from .classifiers import (
@@ -62,7 +70,12 @@ from .core import (
     decision_partition,
     partition_by_attributes,
 )
-from .errors import OverlapViolationError, ReportFormatError, RoughAnalysisError
+from .errors import (
+    OverlapViolationError,
+    ReportFormatError,
+    RoughAnalysisError,
+    _require_types,
+)
 from .indices import (
     ApproximationSummary,
     BoundsReport,
@@ -271,6 +284,11 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
     return _drawn(dict(_sections(report)))
 
 
+class _Cells(map):
+    """The gfm rows, `map(list, gfm.cells)` with the matrix as `gfm`, so
+    _parts can write each distinct row's text once."""
+
+
 class _Table(dict):
     """A list of dicts that share their keys, given as a dict of columns,
     each an iterable of JSON scalars: the lemma checks as the theorem
@@ -291,6 +309,8 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     """
     gfm = report.frequency
     cm = report.confusion
+    cells = _Cells(list, gfm.cells)
+    cells.gfm = gfm
     yield "input", {
         "source": report.source,
         "objects": report.n_objects,
@@ -302,7 +322,7 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     yield "granules", map(list, report.granules._members)
     yield "decision_classes", map(list, report.decisions._members)
     yield "granule_matrix", {
-        "cells": map(list, gfm.cells),
+        "cells": cells,
         "granule_sizes": map(len, report.granules._members),
         "class_sizes": list(map(len, report.decisions._members)),
         "total": gfm.total,
@@ -492,19 +512,7 @@ def _types(values: Iterable[object]) -> set[type]:
     return set(map(type, values))
 
 
-def _type_names(types: set[type]) -> str:
-    return " or ".join(sorted("null" if t is type(None) else t.__name__ for t in types))
-
-
 _TIE_BREAKS = [t.value for t in TieBreak]
-
-
-def _require_types(*rules: tuple[str, set[type], Iterable[object]]) -> None:
-    """Raise TypeError at the first (what, allowed types, values) rule broken."""
-    for what, allowed, values in rules:
-        wrong = _types(values) - allowed
-        if wrong:
-            raise TypeError(f"{what} must be {_type_names(allowed)}, not {_type_names(wrong)}")
 
 
 def _rebuild(data: dict[str, object]) -> AnalysisReport:
@@ -575,9 +583,10 @@ def _parts(value: object, pad: str) -> Iterator[str]:
     list of its items in groups of at most _CHUNK items; a scalar through
     _scalar, so any other type raises TypeError instead of changing the
     layout. json.dumps runs a pure-Python encoder whenever it indents;
-    here a list of ints, or of nonempty lists of ints (the rows that grow
-    with the granule count), is laid out without a Python call per item or
-    row.
+    here a list of ints, or of lists of ints (the rows that grow with the
+    granule count), is laid out without a Python call per item or row, and
+    the gfm rows (a _Cells) a distinct row's text at a time, unless a row
+    alone holds more than _CHUNK members.
     """
     inner = pad + "  "
     kind = type(value)
@@ -590,7 +599,12 @@ def _parts(value: object, pad: str) -> Iterator[str]:
         yield "{}" if lead == "{" else f"\n{pad}}}"
     elif kind is list or kind is _Table or isinstance(value, Iterator):
         lead = "["
-        groups = _template_rows(value, inner) if kind is _Table else _groups(value, inner)
+        if kind is _Table:
+            groups = _template_rows(value, inner)
+        elif kind is _Cells and value.gfm.k <= _CHUNK:
+            groups = _distinct_rows(value.gfm, inner)
+        else:
+            groups = _groups(value, inner)
         for group in groups:
             yield f"{lead}\n{inner}"
             yield from group
@@ -619,6 +633,26 @@ def _groups(items: Iterable[object], inner: str) -> Iterator[Iterable[str]]:
                 yield _parts(chunk[start], inner)
                 stop += 1
             start = stop
+
+
+def _distinct_rows(gfm: GranuleFrequencyMatrix, inner: str) -> Iterator[list[str]]:
+    """The entries of the gfm rows' list as `_entries` lays them out, each
+    distinct row's text made once, _CHUNK // k rows (at most _CHUNK
+    members) a part."""
+    template = _row_template(gfm.k, inner)
+    rows = gfm._distinct
+    texts = dict(zip(rows, map(template.__mod__, rows)))
+    sep = f",\n{inner}"
+    for chunk in _chunks(gfm.cells, _CHUNK // gfm.k):
+        yield [sep.join(map(texts.__getitem__, chunk))]
+
+
+def _row_template(n: int, inner: str) -> str:
+    """The %-template of a list of n ints as `_parts` lays it out at `inner`."""
+    if not n:
+        return "[]"
+    row_pad = f"\n{inner}  "
+    return "[" + ",".join(repeat(f"{row_pad}%s", n)) + f"\n{inner}]"
 
 
 def _template_rows(table: _Table, inner: str) -> Iterator[list[str]]:
@@ -663,23 +697,32 @@ def _entries(value: list[object], inner: str) -> str:
     types = _types(value)
     if types == {int}:
         return sep.join(map(int.__repr__, value))
-    if types == {list} and all(value) and _types(chain.from_iterable(value)) == {int}:
-        row_pad = inner + "  "
-        rows = map(f",\n{row_pad}".join, map(map, repeat(int.__repr__), value))
-        body = f"\n{inner}]{sep}[\n{row_pad}".join(rows)
-        return f"[\n{row_pad}{body}\n{inner}]"
+    if types == {list} and _types(chain.from_iterable(value)) <= {int}:
+        return _fill(value, sep, lambda n: _row_template(n, inner))
     return sep.join(["".join(_parts(item, inner)) for item in value])
 
 
-def _chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
-    """Consecutive lists of up to _CHUNK items."""
-    items = iter(items)
-    return iter(lambda: list(islice(items, _CHUNK)), [])
+def _chunks(items: Iterable[_T], size: int | None = None) -> Iterator[list[_T]]:
+    """Consecutive lists of up to `size` items, _CHUNK by default."""
+    items, size = iter(items), size or _CHUNK
+    return iter(lambda: list(islice(items, size)), [])
 
 
-def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
-    """`sep.join(items)` in parts of _CHUNK items."""
-    parts = map(sep.join, _chunks(items))
+def _fill(rows: list[Sequence[object]], sep: str, template: Callable[[int], str]) -> str:
+    """`sep.join(template(len(row)) % tuple(row) for row in rows)` as one
+    %-template, one shape per distinct row length, filled from one flat
+    tuple of the rows' values."""
+    lengths = list(map(len, rows))
+    shapes = {n: template(n) for n in set(lengths)}
+    return sep.join(map(shapes.__getitem__, lengths)) % tuple(chain.from_iterable(rows))
+
+
+def _filled(
+    chunks: Iterable[Sequence[Sequence[object]]], sep: str, template: Callable[[int], str]
+) -> Iterator[str]:
+    """The chunks of rows as _fill lays them out, a part each, with `sep`
+    between each two."""
+    parts = map(_fill, chunks, repeat(sep), repeat(template))
     yield next(parts, "")
     for part in parts:
         yield sep
@@ -689,19 +732,16 @@ def _joined(items: Iterable[str], sep: str) -> Iterator[str]:
 def _grid(
     corner: str,
     col_labels: list[str],
-    row_labels: Iterable[str],
+    row_labels: list[str],
     columns: Iterable[Iterable[object]],
 ) -> Iterable[str]:
-    """Lay out a table given column by column, one line per row as it is
-    drawn: the row labels left-aligned, each value column right-aligned,
-    two spaces apart. The corner and the column labels come padded to
-    their column's widest entry, so no column is walked before the first
-    line."""
-    first = map(str.ljust, chain([corner], row_labels), repeat(len(corner)))
-    padded = [
-        map(str.rjust, chain([label], map(str, column)), repeat(len(label)))
-        for label, column in zip(col_labels, columns)
-    ]
+    """Lay out a small table given column by column, one line per row: the
+    row labels left-aligned, each value column right-aligned, every column
+    as wide as its widest entry and two spaces from the next."""
+    labels = [corner, *row_labels]
+    columns = [[label, *map(str, column)] for label, column in zip(col_labels, columns)]
+    first = map(str.ljust, labels, repeat(max(map(len, labels))))
+    padded = [map(str.rjust, column, repeat(max(map(len, column)))) for column in columns]
     # the empty first field gives every line its two-space indent
     return map("  ".join, zip(repeat(""), first, *padded))
 
@@ -709,39 +749,27 @@ def _grid(
 def _count_grid(
     prefix: str,
     margin: str,
-    cells: tuple[tuple[int, ...], ...],
-    row_sums: Iterable[int],
+    cells: Sequence[tuple[int, ...]],
+    distinct: Iterable[tuple[int, ...]],
     col_sums: Sequence[int],
-    total: int,
-) -> Iterable[str]:
-    """_grid of a table of counts and its sums: rows {prefix}1.., columns
-    Y1.., and `margin` for the row sums' column and the column sums' row.
-    Counts are never negative, so each column's widest entry is its sum."""
-    row_labels = chain(map(f"{prefix}{{}}".format, range(1, len(cells) + 1)), [margin])
+) -> Iterator[str]:
+    """The lines of a table of counts and its sums in parts, as _grid would
+    lay them out: rows {prefix}1.., columns Y1.., and `margin` for the row
+    sums' column and the column sums' row. Counts are never negative, so
+    each column's widest entry is its label or its sum. Each of the
+    `distinct` rows has its cells and sum laid out once, and each line is
+    its label and that text."""
+    sums = (*col_sums, sum(col_sums))
     col_labels = [*map("Y{}".format, range(1, len(col_sums) + 1)), margin]
-    sums = (*col_sums, total)
-    columns = [chain(map(itemgetter(j), cells), [s]) for j, s in enumerate(col_sums)]
-    columns.append(chain(row_sums, [total]))
-    return _grid(
-        "".ljust(max(len(f"{prefix}{len(cells)}"), len(margin))),
-        list(map(str.rjust, col_labels, map(len, map(str, sums)))),
-        row_labels,
-        columns,
-    )
-
-
-def _small_grid(
-    corner: str, col_labels: list[str], row_labels: list[str], rows: list[list[object]]
-) -> Iterable[str]:
-    """_grid of a table given row by row and small enough to hold: its
-    entries made str, the corner and labels padded to their columns."""
-    columns = [list(map(str, column)) for column in zip(*rows)]
-    return _grid(
-        corner.ljust(max(map(len, row_labels))),
-        [label.rjust(max(map(len, column))) for label, column in zip(col_labels, columns)],
-        row_labels,
-        columns,
-    )
+    widths = list(map(max, map(len, col_labels), map(len, map(str, sums))))
+    row_text = "  ".join(map("%{}s".format, widths))
+    texts = {row: row_text % (*row, sum(row)) for row in distinct}
+    width = max(len(f"{prefix}{len(cells)}"), len(margin))
+    yield f"  {' ' * width}  {row_text % tuple(col_labels)}\n"
+    lines = zip(range(1, len(cells) + 1), map(texts.__getitem__, cells))
+    label = f"  {prefix}%-{width - len(prefix)}s  %s"
+    yield from _filled(_chunks(lines), "\n", lambda n: label)
+    yield f"\n  {margin.ljust(width)}  {row_text % sums}"
 
 
 def _frac_text(value: Fraction) -> str:
@@ -768,35 +796,27 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         f"   decision: {report.decision_name}\n"
     )
     yield "\nGranules\n"
-    labels = map("X{}".format, range(1, m + 1))
-    members = map(", ".join, map(map, repeat(str), report.granules._members))
-    yield from _joined(map("  {} = {{{}}}".format, labels, members), "\n")
+    # a granule's row: its number, then its members
+    members = map(add, zip(range(1, m + 1)), report.granules._members)
+    yield from _filled(
+        _chunks(members), "\n", lambda n: "  X%s = {" + ", ".join(repeat("%s", n - 1)) + "}"
+    )
     yield "\nDecision classes"
     for label, block in zip(class_labels, report.decisions._members):
-        # a class line holds a share of all objects, so its ids go out in parts
+        # a class line holds a share of all objects: a row of ids a part
         yield f"\n  {label} = {{"
-        yield from _joined(map(str, block), ", ")
+        yield from _filled(zip(_chunks(block)), ", ", lambda n: ", ".join(repeat("%s", n)))
         yield "}"
     yield "\n\nGranule frequency matrix\n"
-    yield from _joined(
-        _count_grid(
-            "X",
-            "size",
-            gfm.cells,
-            map(len, report.granules._members),
-            list(map(len, report.decisions._members)),
-            gfm.total,
-        ),
-        "\n",
-    )
+    yield from _count_grid("X", "size", gfm.cells, gfm._distinct, gfm.class_sizes)
 
     if report.classifier_kind == "mrc":
         classifier = f"mrc (tie-break: {report.tie_break}, seed: {report.seed})"
     else:
         classifier = "custom mapping"
     yield f"\n\nClassifier: {classifier}\n  assignment: "
-    labels = map("X{}".format, range(1, m + 1))
-    yield from _joined(map("{} -> Y{}".format, labels, report.classifier.assignment), ", ")
+    pairs = zip(range(1, m + 1), report.classifier.assignment)
+    yield from _filled(_chunks(pairs), ", ", lambda n: "X%s -> Y%s")
     yield (
         "\n  overlap rule: "
         + ("satisfied" if report.validation.satisfies_rule else "violated")
@@ -804,9 +824,7 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         + ("yes" if report.row_maximal else "no")
         + "\n\nConfusion matrix (rows: predicted, columns: true)\n"
     )
-    yield from _joined(
-        _count_grid("Y", "sum", cm.cells, cm.row_sums, cm.col_sums, cm.total), "\n"
-    )
+    yield from _count_grid("Y", "sum", cm.cells, cm.cells, cm.col_sums)
 
     yield "\n\n"
     lines = [
@@ -827,11 +845,11 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         ]
         for approx, alpha in zip(report.approximation.classes, report.alpha_hat)
     ]
-    lines += _small_grid(
+    lines += _grid(
         "class",
         ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"],
         class_labels,
-        index_rows,
+        zip(*index_rows),
     )
     lines.append("")
 
@@ -853,11 +871,11 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         ]
         for cb in report.bounds.classes
     ]
-    lines += _small_grid(
+    lines += _grid(
         "class",
         ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"],
         class_labels,
-        bound_rows,
+        zip(*bound_rows),
     )
     lines.append("")
 

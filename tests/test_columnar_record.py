@@ -38,6 +38,7 @@ from roughcm import (
     partition_by_attributes,
     predictor_set,
     random_decision_system,
+    render_text,
     report_from_dict,
     report_to_dict,
     report_to_json,
@@ -45,7 +46,7 @@ from roughcm import (
     verify_theorems,
 )
 from roughcm.cli import main
-from roughcm.report import _CHUNK, _json_parts, _parts, _Table
+from roughcm.report import _CHUNK, _json_parts, _parts, _Table, _text_parts
 
 
 def _reference_checks(gfm, f, cm, bounds):
@@ -216,6 +217,13 @@ def test_parts_hold_at_most_a_chunk_of_ints(monkeypatch):
     # fixed size written whole
     assert max(map(len, parts)) <= 64 * 30
     assert len(text) > 8 * 64 * 30
+    # the text of 150 granules goes out at most 64 lines a part
+    rows = [(f"v{i % 150}", "yz"[i % 2]) for i in range(600)]
+    report = analyze_decision_system(build_system(("a", "d"), rows))
+    parts = list(_text_parts(report))
+    assert "".join(parts) == render_text(report)
+    lines = [part.count("\n") + 1 for part in parts]
+    assert max(lines) <= 64 and sum(lines) > 4 * 64
 
 
 def _fixed_failing_stages(monkeypatch):

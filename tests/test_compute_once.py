@@ -8,6 +8,7 @@ shows up in the counts.
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 
@@ -15,6 +16,7 @@ import pytest
 
 import roughcm
 from roughcm import (
+    GranuleFrequencyMatrix,
     RoughClassifier,
     analyze_decision_system,
     confusion_bounds,
@@ -24,8 +26,10 @@ from roughcm import (
     is_row_maximal,
     oracle,
     partition_by_attributes,
+    render_text,
     report_from_dict,
     report_to_dict,
+    report_to_json,
     run_fuzz_trials,
     validate_overlap,
     verify_theorems,
@@ -109,6 +113,30 @@ def test_analyze_and_the_load_share_one_assembly(monkeypatch, tv_system):
     report = analyze_decision_system(tv_system, attributes=("Price", "Screen"))
     assert report_from_dict(report_to_dict(report)) == report
     assert len(seen) == 2 and seen[0] == seen[1]
+
+
+@pytest.mark.parametrize(
+    "classifier", [None, RoughClassifier((2, 2, 2, 1), 2)], ids=["mrc", "custom"]
+)
+def test_the_distinct_rows_are_counted_once_per_matrix(monkeypatch, tv_system, classifier):
+    view = GranuleFrequencyMatrix.__dict__["_distinct"]
+    original, counted = view.func, []
+
+    def distinct(gfm):
+        counted.append(gfm)
+        return original(gfm)
+
+    monkeypatch.setattr(view, "func", distinct)
+    report = analyze_decision_system(
+        tv_system, attributes=("Price", "Screen"), classifier=classifier
+    )
+    render_text(report)
+    data = json.loads(report_to_json(report))
+    assert len(counted) == 1 and counted[0] is report.frequency
+    loaded = report_from_dict(data)
+    render_text(loaded)
+    report_to_json(loaded)
+    assert len(counted) == 2 and counted[1] is loaded.frequency
 
 
 def test_cli_analyze_with_a_mapping_builds_each_stage_once(calls, capsys, tv_csv, tmp_path):

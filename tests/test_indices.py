@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from roughcm import (
     ClassBounds,
     DegenerateDecisionError,
     GeneratorConfig,
+    GranuleFrequencyMatrix,
     Partition,
     RoughClassifier,
     RoughConfusionMatrix,
@@ -33,6 +35,8 @@ from roughcm import (
     indicator,
     lower_approximation,
     maximal_row_classifier,
+    oracle_lower,
+    oracle_upper,
     partition_by_attributes,
     random_decision_system,
     random_overlap_classifier,
@@ -98,6 +102,59 @@ class TestApproximationSummary:
             assert approx.size == len(cls)
             assert approx.lower_size == len(lower_approximation(granules, cls))
             assert approx.upper_size == len(upper_approximation(granules, cls))
+
+
+@st.composite
+def repeated_row_systems(draw, distinct):
+    """Granule and class partitions whose count rows come from a pool of
+    one to three rows (`distinct=False`) or are all different, with the
+    object ids shuffled so no granule is a run of ids."""
+    k = draw(st.integers(2, 4))
+    row = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+    if distinct:
+        rows = draw(st.lists(row, min_size=1, max_size=12, unique_by=tuple))
+    else:
+        pool = draw(st.lists(row, min_size=1, max_size=3))
+        rows = draw(st.lists(st.sampled_from(pool), min_size=4, max_size=30))
+    cells = [
+        (i, j) for i, counts in enumerate(rows) for j, c in enumerate(counts) for _ in range(c)
+    ]
+    ids = draw(st.permutations(range(1, len(cells) + 1)))
+    granules, classes = defaultdict(set), defaultdict(set)
+    for x, (i, j) in zip(ids, cells):
+        granules[i].add(x)
+        classes[j].add(x)
+    return Partition(granules.values()), Partition(classes.values())
+
+
+class TestDistinctRowSummary:
+    """approximation_summary reads each distinct gfm row once; its sizes
+    must still be those of the per-element oracles, class by class."""
+
+    @pytest.mark.parametrize("distinct", [False, True], ids=["repeated", "all-distinct"])
+    @given(data=st.data())
+    def test_matches_the_oracles(self, distinct, data):
+        granules, decisions = data.draw(repeated_row_systems(distinct))
+        assume(len(decisions) >= 2)
+        gfm = granule_frequency_matrix(granules, decisions)
+        assert list(gfm._distinct) == list(dict.fromkeys(gfm.cells))
+        assert (len(gfm._distinct) == gfm.m) is distinct
+        assert sum(gfm._distinct.values()) == gfm.m
+        summary = approximation_summary(gfm)
+        for approx, cls in zip(summary.classes, decisions._members, strict=True):
+            assert approx.size == len(cls)
+            assert approx.lower_size == len(oracle_lower(granules, cls))
+            assert approx.upper_size == len(oracle_upper(granules, cls))
+
+    def test_equal_rows_that_are_different_tuples_count_as_one(self):
+        # granules {1, 2}, {3, 4}, {5}; classes {1, 3}, {2, 4, 5}
+        granules = Partition([[1, 2], [3, 4], [5]])
+        decisions = Partition([[1, 3], [2, 4, 5]])
+        gfm = GranuleFrequencyMatrix([[1, 1], [1, 1], [0, 1]], granules, decisions)
+        assert gfm.cells[0] == gfm.cells[1] and gfm.cells[0] is not gfm.cells[1]
+        assert gfm._distinct == {(1, 1): 2, (0, 1): 1}
+        summary = approximation_summary(gfm)
+        assert [(c.lower_size, c.upper_size) for c in summary.classes] == [(0, 4), (1, 5)]
 
 
 class TestConfusionIndices:

@@ -72,6 +72,22 @@ class TestObjectIds:
         with pytest.raises(ValueError, match=r"^object ids must be unique$"):
             DecisionSystem(ids, (a,), d)
 
+    @pytest.mark.parametrize(
+        "ids,names",
+        [
+            pytest.param((1.0, 2.0, 3.0), "float", id="floats"),
+            pytest.param(("a", "b", "c"), "str", id="strs"),
+            pytest.param((False, True, 2), "bool", id="bools"),
+            pytest.param((2, 0.5, False), "bool or float", id="mixed"),
+        ],
+    )
+    def test_ids_that_are_not_ints_are_refused(self, ids, names):
+        # a report of such ids could not be saved, or saved but not loaded
+        a = Attribute("a", dict.fromkeys(ids, "x"))
+        d = Attribute("d", dict(zip(ids, "yzy")))
+        with pytest.raises(TypeError, match=rf"^object ids must be int, not {names}$"):
+            DecisionSystem(ids, (a,), d)
+
     def test_duplicate_ids_are_reported_before_duplicate_names(self):
         a = Attribute("a", {1: "x", 2: "y"})
         with pytest.raises(ValueError, match=r"^object ids must be unique$"):

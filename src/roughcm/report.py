@@ -10,9 +10,8 @@ The form is described once, by _sections: the top-level (key, value)
 sections in order (input, granules, decision_classes, granule_matrix,
 classifier, confusion_matrix, indices, bounds, theorems), where each list
 that grows with the table (the partitions, the gfm rows and granule
-sizes, the assignment) is an iterator of its items, the gfm rows a _Cells
-that keeps the matrix at hand, and the lemma checks are a _Table of the
-theorem record's columns. report_to_dict draws the sections into one
+sizes, the assignment) is an iterator of its items and the lemma checks
+are a _Table of the theorem record's columns. report_to_dict draws the sections into one
 dict. Saving and loading each make one walk over that form.
 report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
 and a newline through one writer, _parts, that handles only the JSON
@@ -25,12 +24,12 @@ one string through _whole, which holds at most a piece of their parts
 beside it; the command line writes the parts as they come, so neither
 the whole dict nor the whole text is ever held.
 
-Rows are laid out without a Python step per row: a part of rows (granule
-members, assignment pairs, a class's ids) is one %-template, one shape
-per row length, filled from one flat tuple of their values (_fill); %s
-writes each id as str() does. The gfm rows repeat, so each distinct
-row's JSON text, or its text cells and size, is made once, and each
-granule's entry is that text, its text line its label and that text.
+Rows are laid out without a Python step per row: a part of rows (the
+JSON lists of int lists, the granule member lines, the assignment pairs)
+is one %-template, one shape per row length, filled from one flat tuple
+of their values (_fill); %s writes each id as str() does. The gfm rows
+repeat, so the text grid makes each distinct row's cells and size once,
+and each granule's line is its label and that text.
 
 The stages after the classifier (the overlap validation, the confusion
 matrix, its bounds and the theorem record) come from one call to the
@@ -284,11 +283,6 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
     return _drawn(dict(_sections(report)))
 
 
-class _Cells(map):
-    """The gfm rows, `map(list, gfm.cells)` with the matrix as `gfm`, so
-    _parts can write each distinct row's text once."""
-
-
 class _Table(dict):
     """A list of dicts that share their keys, given as a dict of columns,
     each an iterable of JSON scalars: the lemma checks as the theorem
@@ -309,8 +303,6 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     """
     gfm = report.frequency
     cm = report.confusion
-    cells = _Cells(list, gfm.cells)
-    cells.gfm = gfm
     yield "input", {
         "source": report.source,
         "objects": report.n_objects,
@@ -322,7 +314,7 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     yield "granules", map(list, report.granules._members)
     yield "decision_classes", map(list, report.decisions._members)
     yield "granule_matrix", {
-        "cells": cells,
+        "cells": map(list, gfm.cells),
         "granule_sizes": map(len, report.granules._members),
         "class_sizes": list(map(len, report.decisions._members)),
         "total": gfm.total,
@@ -584,9 +576,7 @@ def _parts(value: object, pad: str) -> Iterator[str]:
     _scalar, so any other type raises TypeError instead of changing the
     layout. json.dumps runs a pure-Python encoder whenever it indents;
     here a list of ints, or of lists of ints (the rows that grow with the
-    granule count), is laid out without a Python call per item or row, and
-    the gfm rows (a _Cells) a distinct row's text at a time, unless a row
-    alone holds more than _CHUNK members.
+    granule count), is laid out without a Python call per item or row.
     """
     inner = pad + "  "
     kind = type(value)
@@ -599,12 +589,7 @@ def _parts(value: object, pad: str) -> Iterator[str]:
         yield "{}" if lead == "{" else f"\n{pad}}}"
     elif kind is list or kind is _Table or isinstance(value, Iterator):
         lead = "["
-        if kind is _Table:
-            groups = _template_rows(value, inner)
-        elif kind is _Cells and value.gfm.k <= _CHUNK:
-            groups = _distinct_rows(value.gfm, inner)
-        else:
-            groups = _groups(value, inner)
+        groups = _template_rows(value, inner) if kind is _Table else _groups(value, inner)
         for group in groups:
             yield f"{lead}\n{inner}"
             yield from group
@@ -633,18 +618,6 @@ def _groups(items: Iterable[object], inner: str) -> Iterator[Iterable[str]]:
                 yield _parts(chunk[start], inner)
                 stop += 1
             start = stop
-
-
-def _distinct_rows(gfm: GranuleFrequencyMatrix, inner: str) -> Iterator[list[str]]:
-    """The entries of the gfm rows' list as `_entries` lays them out, each
-    distinct row's text made once, _CHUNK // k rows (at most _CHUNK
-    members) a part."""
-    template = _row_template(gfm.k, inner)
-    rows = gfm._distinct
-    texts = dict(zip(rows, map(template.__mod__, rows)))
-    sep = f",\n{inner}"
-    for chunk in _chunks(gfm.cells, _CHUNK // gfm.k):
-        yield [sep.join(map(texts.__getitem__, chunk))]
 
 
 def _row_template(n: int, inner: str) -> str:
@@ -702,31 +675,38 @@ def _entries(value: list[object], inner: str) -> str:
     return sep.join(["".join(_parts(item, inner)) for item in value])
 
 
-def _chunks(items: Iterable[_T], size: int | None = None) -> Iterator[list[_T]]:
-    """Consecutive lists of up to `size` items, _CHUNK by default."""
-    items, size = iter(items), size or _CHUNK
-    return iter(lambda: list(islice(items, size)), [])
+def _chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
+    """Consecutive lists of up to _CHUNK items."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _CHUNK)), [])
 
 
-def _fill(rows: list[Sequence[object]], sep: str, template: Callable[[int], str]) -> str:
-    """`sep.join(template(len(row)) % tuple(row) for row in rows)` as one
-    %-template, one shape per distinct row length, filled from one flat
-    tuple of the rows' values."""
+def _fill(rows: list[Sequence[object]], sep: str, template: str | Callable[[int], str]) -> str:
+    """`sep.join(shape % tuple(row) for row in rows)` as one %-template
+    filled from one flat tuple of the rows' values. Each row's shape is
+    `template`, or `template(len(row))` where rows differ in length."""
+    values = tuple(chain.from_iterable(rows))
+    if type(template) is str:
+        return sep.join(repeat(template, len(rows))) % values
     lengths = list(map(len, rows))
     shapes = {n: template(n) for n in set(lengths)}
-    return sep.join(map(shapes.__getitem__, lengths)) % tuple(chain.from_iterable(rows))
+    return sep.join(map(shapes.__getitem__, lengths)) % values
 
 
-def _filled(
-    chunks: Iterable[Sequence[Sequence[object]]], sep: str, template: Callable[[int], str]
-) -> Iterator[str]:
-    """The chunks of rows as _fill lays them out, a part each, with `sep`
-    between each two."""
-    parts = map(_fill, chunks, repeat(sep), repeat(template))
+def _joined(parts: Iterable[str], sep: str) -> Iterator[str]:
+    """`sep.join(parts)`, a part at a time."""
+    parts = iter(parts)
     yield next(parts, "")
     for part in parts:
         yield sep
         yield part
+
+
+def _filled(
+    rows: Iterable[Sequence[object]], sep: str, template: str | Callable[[int], str]
+) -> Iterator[str]:
+    """The rows as _fill lays them out, _CHUNK rows a part."""
+    return _joined(map(_fill, _chunks(rows), repeat(sep), repeat(template)), sep)
 
 
 def _grid(
@@ -767,8 +747,7 @@ def _count_grid(
     width = max(len(f"{prefix}{len(cells)}"), len(margin))
     yield f"  {' ' * width}  {row_text % tuple(col_labels)}\n"
     lines = zip(range(1, len(cells) + 1), map(texts.__getitem__, cells))
-    label = f"  {prefix}%-{width - len(prefix)}s  %s"
-    yield from _filled(_chunks(lines), "\n", lambda n: label)
+    yield from _filled(lines, "\n", f"  {prefix}%-{width - len(prefix)}s  %s")
     yield f"\n  {margin.ljust(width)}  {row_text % sums}"
 
 
@@ -799,13 +778,13 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
     # a granule's row: its number, then its members
     members = map(add, zip(range(1, m + 1)), report.granules._members)
     yield from _filled(
-        _chunks(members), "\n", lambda n: "  X%s = {" + ", ".join(repeat("%s", n - 1)) + "}"
+        members, "\n", lambda n: "  X%s = {" + ", ".join(repeat("%s", n - 1)) + "}"
     )
     yield "\nDecision classes"
     for label, block in zip(class_labels, report.decisions._members):
-        # a class line holds a share of all objects: a row of ids a part
+        # a class line holds a share of all objects, so its ids go out in parts
         yield f"\n  {label} = {{"
-        yield from _filled(zip(_chunks(block)), ", ", lambda n: ", ".join(repeat("%s", n)))
+        yield from _joined((", ".join(map(str, ids)) for ids in _chunks(block)), ", ")
         yield "}"
     yield "\n\nGranule frequency matrix\n"
     yield from _count_grid("X", "size", gfm.cells, gfm._distinct, gfm.class_sizes)
@@ -816,7 +795,7 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         classifier = "custom mapping"
     yield f"\n\nClassifier: {classifier}\n  assignment: "
     pairs = zip(range(1, m + 1), report.classifier.assignment)
-    yield from _filled(_chunks(pairs), ", ", lambda n: "X%s -> Y%s")
+    yield from _filled(pairs, ", ", "X%s -> Y%s")
     yield (
         "\n  overlap rule: "
         + ("satisfied" if report.validation.satisfies_rule else "violated")

@@ -1,6 +1,6 @@
 """The writers lay out long lists of rows with one %-template per row shape
-and the gfm a distinct row at a time; the output must be what laying out
-each row by itself gives.
+and the text gfm grid a distinct row at a time; the output must be what
+laying out each row by itself gives.
 
 The table has the benchmark's shape in small: many granules but few
 distinct gfm rows, granules of 1 to 14 members and two of 120, ids of one

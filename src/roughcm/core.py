@@ -175,14 +175,19 @@ class DecisionSystem:
         )
         if not self.object_ids:
             raise ValueError("a decision system needs at least one object")
-        # distinct ids ascend once sorted, so uniqueness needs no set
+        # a report saves and loads int ids only (1.0 and True are equal to 1);
+        # ids that may not sort are refused first, bools once ids are unique
         ids = self.object_ids
+        wrong = set(map(type, ids)) - {int}
+        if wrong - {bool}:
+            _require_types(("object ids", {int}, ids))
+        # distinct ids ascend once sorted, so uniqueness needs no set
         if not all(map(lt, ids, islice(ids, 1, None))):
             ids = tuple(sorted(ids))
             if any(map(eq, ids, islice(ids, 1, None))):
                 raise ValueError("object ids must be unique")
-        # a report saves and loads int ids only; 1.0 and True are equal to 1
-        _require_types(("object ids", {int}, ids))
+        if wrong:
+            _require_types(("object ids", {int}, ids))
         names = [a.name for a in self.condition_attributes]
         names.append(self.decision_attribute.name)
         if len(set(names)) != len(names):

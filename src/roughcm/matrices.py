@@ -12,9 +12,8 @@ class sizes, whatever the classifier does.
 
 from __future__ import annotations
 
-import functools
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import add, eq, itemgetter, mul
 from typing import TYPE_CHECKING
@@ -41,14 +40,16 @@ class GranuleFrequencyMatrix:
     Row sums equal granule sizes and column sums equal class sizes; both
     are checked on construction, so a value of this type is always a
     faithful contingency table of its two partitions, and its margins are
-    read off the partitions. The approximation summary and the report
-    writers read their row facts off `_distinct`, each distinct row once
-    with the number of granules that have it.
+    read off the partitions. The constructor counts the distinct rows once
+    (`_distinct`, each distinct row with the number of granules that have
+    it); the column sums, the approximation summary and the report writers
+    read their row facts off it.
     """
 
     cells: tuple[tuple[int, ...], ...]
     granules: Partition
     decisions: Partition
+    _distinct: Counter[tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = tuple(map(tuple, self.cells))
@@ -57,19 +58,18 @@ class GranuleFrequencyMatrix:
         m, k = len(self.granules), len(self.decisions)
         if len(cells) != m or set(map(len, cells)) != {k}:
             raise ShapeMismatchError(f"expected a {m}x{k} count matrix")
-        if min(chain.from_iterable(cells)) < 0:
+        # each distinct row, by value and in order of first occurrence, with
+        # its multiplicity; the count and column-sum checks read it
+        distinct = Counter(cells)
+        if min(chain.from_iterable(distinct)) < 0:
             raise ValueError("counts must be non-negative")
         if not all(map(eq, map(sum, cells), map(len, self.granules._members))):
             raise ValueError("row sums must equal granule sizes")
-        column_sums = (sum(map(itemgetter(j), cells)) for j in range(k))
+        times = list(distinct.values())
+        column_sums = (sum(map(mul, column, times)) for column in zip(*distinct))
         if not all(map(eq, column_sums, map(len, self.decisions._members))):
             raise ValueError("column sums must equal decision class sizes")
-
-    @functools.cached_property
-    def _distinct(self) -> Counter[tuple[int, ...]]:
-        """Each distinct row, by value and in order of first occurrence,
-        with its multiplicity; built on first read."""
-        return Counter(self.cells)
+        object.__setattr__(self, "_distinct", distinct)
 
     @property
     def m(self) -> int:
@@ -140,15 +140,15 @@ def granule_frequency_matrix(
     One counting pass over the objects: each object's granule label i and
     class label j, read from the two partitions' labels, name the flat
     cell i * k + j it adds to, in range even if the universes differ (the
-    constructor compares them first). Equal rows are one tuple: a fine
-    table has far fewer distinct rows than granules.
+    constructor compares them first). The cells are counted in place: a
+    Counter keyed by cell takes twice the time and, on a fine table, a
+    dict entry and an int per nonzero cell. Equal rows are one tuple: a
+    fine table has far fewer distinct rows than granules.
     """
     k = len(decisions)
-    row_starts = map(mul, granules._labels, repeat(k))
-    counts = Counter(map(add, row_starts, decisions._labels))
     flat = [0] * (len(granules) * k)
-    deque(map(flat.__setitem__, counts.keys(), counts.values()), maxlen=0)
-    del counts
+    for cell in map(add, map(mul, granules._labels, repeat(k)), decisions._labels):
+        flat[cell] += 1
     # k consecutive cells per granule row
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     cells = tuple([shared.setdefault(row, row) for row in zip(*[iter(flat)] * k)])

@@ -8,39 +8,29 @@ report_from_dict, and identical inputs produce byte-identical JSON.
 
 The form is described once, by _sections: the top-level (key, value)
 sections in order (input, granules, decision_classes, granule_matrix,
-classifier, confusion_matrix, indices, bounds, theorems), where each list
-that grows with the table (the partitions, the gfm rows and granule
-sizes, the assignment) is an iterator of its items and the lemma checks
-are a _Table of the theorem record's columns. report_to_dict draws the sections into one
-dict. Saving and loading each make one walk over that form.
-report_to_json writes exactly json.dumps(report_to_dict(r), indent=2)
-and a newline through one writer, _parts, that handles only the JSON
-types the dict holds: a dict a value at a time, a list or an iterator at
-most _CHUNK items or row members a part, a _Table _CHUNK rows a part, and
-a scalar through _scalar, the one place a type is refused. render_text
-likewise makes its text in parts, the lines that grow with the table
-_CHUNK at a time and a decision class's ids _CHUNK at a time. Both grow
-one string through _whole, which holds at most a piece of their parts
-beside it; the command line writes the parts as they come, so neither
-the whole dict nor the whole text is ever held.
+classifier, confusion_matrix, indices, bounds, theorems). Each list of int
+rows that grows with the table (the partitions, the gfm rows, the
+assignment) is declared a _Rows, the lemma checks are a _Table of the
+theorem record's columns, and the granule sizes an iterator.
+report_to_dict draws the sections into one dict. report_to_json writes
+exactly json.dumps(report_to_dict(r), indent=2) and a newline through
+one writer, _parts, at most _CHUNK items or row members a part, and
+render_text its text _CHUNK lines or ids a part. Both grow one string
+through _whole, and the command line writes the parts as they come, so
+neither the whole dict nor the whole text is ever held.
 
-Rows are laid out without a Python step per row: a part of rows (the
-JSON lists of int lists, the granule member lines, the assignment pairs)
-is one %-template, one shape per row length, filled from one flat tuple
-of their values (_fill); %s writes each id as str() does. The gfm rows
-repeat, so the text grid makes each distinct row's cells and size once,
-and each granule's line is its label and that text.
+Rows are laid out with no Python step and no type pass per row: a part
+of rows is one %-template, one shape per row length, filled from one flat
+tuple of their values (_fill); %s writes each id as str() does. The gfm
+rows repeat, so both writers make each distinct row's text once, and a
+granule's entry or line is a lookup of that text.
 
-The stages after the classifier (the overlap validation, the confusion
-matrix, its bounds and the theorem record) come from one call to the
-oracle's _judge, as in each fuzz trial. One assembly, _assemble, builds
-every report and checks its provenance: analyze_decision_system passes it
-the partitions it built, and report_from_dict only the facts it read (the
-partitions, the provenance and a custom assignment). The stored dict must
-then equal the rebuilt report's dict; one comparison, _difference, walks
-the stored dict and the sections together and draws each derived list
-only when it reaches it. A dict loads exactly when it is what saving its
-report writes.
+Every report comes from one assembly, _assemble, which ends in the
+oracle's _judge, as each fuzz trial does: analyze_decision_system passes
+it the partitions it built, report_from_dict only the facts it read. The
+stored dict must then equal the rebuilt report's sections; one walk,
+_difference, compares them with type passes over the stored side only.
+A dict loads exactly when it is what saving its report writes.
 """
 
 from __future__ import annotations
@@ -50,6 +40,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _escape
 from operator import add, eq, itemgetter
@@ -286,9 +277,22 @@ def report_to_dict(report: AnalysisReport) -> dict[str, object]:
 class _Table(dict):
     """A list of dicts that share their keys, given as a dict of columns,
     each an iterable of JSON scalars: the lemma checks as the theorem
-    record keeps them. _parts writes it with one %-template per _CHUNK
-    rows and _difference compares a stored list against it column by
-    column, neither with a dict per row unless the lists differ."""
+    record keeps them. _parts and _difference take it a column or _CHUNK
+    rows at a time, with a dict per row only to name a difference."""
+
+
+class _Rows:
+    """A list of int rows that grows with the table, as an iterable of int
+    sequences; `distinct` holds each row once where they repeat (the gfm
+    rows), and `fact` marks rows whose ints _rebuild checks. _parts lays
+    them out and _difference compares them without a type pass over them."""
+
+    __slots__ = ("rows", "distinct", "fact")
+
+    def __init__(
+        self, rows: Iterable[Sequence[int]], distinct: Iterable | None = None, fact: bool = False
+    ) -> None:
+        self.rows, self.distinct, self.fact = rows, distinct, fact
 
 
 def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
@@ -296,10 +300,8 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
 
     The only description of that form: report_to_dict draws it whole,
     _parts writes it and _difference compares a stored dict against it,
-    each in one walk. Each list whose length grows with the table (the
-    partitions, the gfm rows and granule sizes, the assignment) is given
-    as an iterator of its items and the lemma checks as a _Table, so a
-    section is cheap until its lists are drawn or written.
+    each in one walk. A list that grows with the table is a _Rows, a
+    _Table or an iterator, so a section is cheap until it is drawn or written.
     """
     gfm = report.frequency
     cm = report.confusion
@@ -311,10 +313,10 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
         "attributes": list(report.attribute_names),
         "decision": report.decision_name,
     }
-    yield "granules", map(list, report.granules._members)
-    yield "decision_classes", map(list, report.decisions._members)
+    yield "granules", _Rows(report.granules._members, fact=True)
+    yield "decision_classes", _Rows(report.decisions._members, fact=True)
     yield "granule_matrix", {
-        "cells": map(list, gfm.cells),
+        "cells": _Rows(gfm.cells, gfm._distinct),
         "granule_sizes": map(len, report.granules._members),
         "class_sizes": list(map(len, report.decisions._members)),
         "total": gfm.total,
@@ -323,7 +325,7 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
         "kind": report.classifier_kind,
         "tie_break": report.tie_break,
         "seed": report.seed,
-        "assignment": map(list, enumerate(report.classifier.assignment, start=1)),
+        "assignment": _Rows(enumerate(report.classifier.assignment, start=1), fact=True),
         "row_maximal": report.row_maximal,
         "satisfies_overlap": report.validation.satisfies_rule,
         "violations": list(report.validation.violations),
@@ -382,6 +384,8 @@ def _drawn(value: object) -> object:
     """A section value with its iterators drawn into lists: plain JSON data."""
     if isinstance(value, Iterator):
         return list(value)
+    if type(value) is _Rows:
+        return list(map(list, value.rows))
     if type(value) is _Table:
         return list(map(dict, map(zip, repeat(list(value)), zip(*value.values()))))
     if type(value) is dict:
@@ -409,9 +413,7 @@ def report_from_dict(data: dict[str, object]) -> AnalysisReport:
         difference = _difference(data, dict(_sections(report)))
     except KeyError as exc:
         raise ReportFormatError(f"malformed report: missing key {exc}") from exc
-    except (
-        ArithmeticError, LookupError, TypeError, ValueError, RoughAnalysisError
-    ) as exc:
+    except (ArithmeticError, LookupError, TypeError, ValueError, RoughAnalysisError) as exc:
         raise ReportFormatError(f"malformed report: {exc}") from exc
     if difference is not None:
         raise ReportFormatError(f"malformed report: {difference}")
@@ -425,18 +427,26 @@ def _difference(stored: object, derived: object, path: str = "") -> str | None:
     """Name the first item, by dotted path, where a stored JSON value
     differs from the derived one; None when they are the same.
 
-    The JSON types are told apart: 1, 1.0 and true differ. A derived
-    iterator is drawn into a list only when the walk reaches it. Lists of
+    The JSON types are told apart: 1, 1.0 and true differ. Lists of
     different lengths are named with both lengths and the index of their
-    first differing entry. A list of one scalar type, or of lists of ints,
-    is first compared with one `==` and one type pass, with no Python call
-    per item; a _Table is compared column by column, so each column can
-    take the same path, and drawn into dicts only to name a difference. A
-    list is walked item by item only when these find a difference or do
-    not apply.
+    first differing entry. A derived list is drawn only when the walk
+    reaches it, and first compared whole, with one `==` and type passes
+    over the stored side only: a list of one scalar type; a _Rows, whose
+    stored rows must be lists and their members ints, unless _rebuild has
+    checked those; a _Table column by column, drawn into dicts only to name
+    a difference. A list is walked item by item only when these find a
+    difference or do not apply.
     """
     if isinstance(derived, Iterator):
         derived = list(derived)
+    elif type(derived) is _Rows:
+        fact, derived = derived.fact, _drawn(derived)
+        if (
+            stored == derived
+            and _types(stored) == {list}
+            and (fact or _types(chain.from_iterable(stored)) <= {int})
+        ):
+            return None
     elif type(derived) is _Table:
         derived = _Table(zip(derived, map(list, derived.values())))
         columns = (list(map(itemgetter(key), stored)) for key in derived)
@@ -470,13 +480,6 @@ def _difference(stored: object, derived: object, path: str = "") -> str | None:
             types = _types(derived)
             if len(types) < 2 and types <= _SCALARS:
                 if stored == derived and _types(stored) <= types:
-                    return None
-            elif types == {list} and _types(chain.from_iterable(derived)) <= {int}:
-                if (
-                    stored == derived
-                    and _types(stored) == types
-                    and _types(chain.from_iterable(stored)) <= {int}
-                ):
                     return None
         entries = zip(count(), stored, derived)
     prefix = f"{path}." if path else ""
@@ -571,12 +574,11 @@ def _json_parts(report: AnalysisReport) -> Iterator[str]:
 
 def _parts(value: object, pad: str) -> Iterator[str]:
     """`json.dumps(value, indent=2)` in parts, for the values _sections
-    gives: a dict a value at a time; a list, an iterator or a _Table as a
-    list of its items in groups of at most _CHUNK items; a scalar through
-    _scalar, so any other type raises TypeError instead of changing the
-    layout. json.dumps runs a pure-Python encoder whenever it indents;
-    here a list of ints, or of lists of ints (the rows that grow with the
-    granule count), is laid out without a Python call per item or row.
+    gives: a dict a value at a time; a list, an iterator, a _Rows or a
+    _Table in groups of at most _CHUNK items or row members; a scalar
+    through _scalar, so any other type raises TypeError instead of changing
+    the layout. json.dumps runs a pure-Python encoder whenever it indents;
+    here no Python call is made per int in a list, row or _Table row.
     """
     inner = pad + "  "
     kind = type(value)
@@ -587,10 +589,10 @@ def _parts(value: object, pad: str) -> Iterator[str]:
             lead = ","
             yield from _parts(item, inner)
         yield "{}" if lead == "{" else f"\n{pad}}}"
-    elif kind is list or kind is _Table or isinstance(value, Iterator):
+    elif kind is list or kind is _Rows or kind is _Table or isinstance(value, Iterator):
         lead = "["
-        groups = _template_rows(value, inner) if kind is _Table else _groups(value, inner)
-        for group in groups:
+        groups = _row_groups if kind is _Rows else _template_rows if kind is _Table else _groups
+        for group in groups(value, inner):
             yield f"{lead}\n{inner}"
             yield from group
             lead = ","
@@ -600,23 +602,37 @@ def _parts(value: object, pad: str) -> Iterator[str]:
 
 
 def _groups(items: Iterable[object], inner: str) -> Iterator[Iterable[str]]:
-    """The entries of the list of `items` as `_entries` lays them out, in
-    groups of parts, drawing _CHUNK items at a time. In a list of lists
-    each member counts as an item: rows go out whole while a group holds
-    at most _CHUNK members, and a longer row alone, _CHUNK ints a part."""
+    """The entries of the list of `items` in groups of parts, drawing
+    _CHUNK items at a time: a chunk of ints is one part, and any other
+    item is a group of its own."""
+    sep = ",\n" + inner
     for chunk in _chunks(items):
-        if _types(chunk) != {list}:
-            yield [_entries(chunk, inner)]
-            continue
+        if _types(chunk) == {int}:
+            yield [sep.join(map(int.__repr__, chunk))]
+        else:
+            yield from map(_parts, chunk, repeat(inner))
+
+
+def _row_groups(rows: _Rows, inner: str) -> Iterator[Iterable[str]]:
+    """The entries of a _Rows list in groups of whole rows of at most
+    _CHUNK members, drawing _CHUNK rows at a time: one %-template filled
+    with the rows' values, or the join of each distinct row's text, made
+    once. A longer row goes out alone, _CHUNK ints a part."""
+    sep = ",\n" + inner
+    template = partial(_row_template, inner=inner)
+    texts = {row: template(len(row)) % row for row in rows.distinct or () if len(row) <= _CHUNK}
+    for chunk in _chunks(rows.rows):
         ends = list(accumulate(map(len, chunk)))
         start = 0
         while start < len(chunk):
             stop = bisect_right(ends, (ends[start - 1] if start else 0) + _CHUNK, start)
-            if stop > start:
-                yield [_entries(chunk[start:stop], inner)]
-            else:
-                yield _parts(chunk[start], inner)
+            if stop == start:
+                yield _parts(list(chunk[start]), inner)
                 stop += 1
+            elif not texts:
+                yield [_fill(chunk[start:stop], sep, template)]
+            else:
+                yield [sep.join(map(texts.__getitem__, chunk[start:stop]))]
             start = stop
 
 
@@ -629,8 +645,8 @@ def _row_template(n: int, inner: str) -> str:
 
 
 def _template_rows(table: _Table, inner: str) -> Iterator[list[str]]:
-    """The entries of a _Table's list as `_entries` lays them out, _CHUNK
-    rows a part, each part one %-template filled with the rows' values."""
+    """The entries of a _Table's list, _CHUNK rows a part, each part one
+    %-template filled with the rows' values."""
     field_pad = inner + "  "
     fields = (f"\n{field_pad}{_escape(key).replace('%', '%%')}: %s" for key in table)
     item = "{" + ",".join(fields) + f"\n{inner}}}"
@@ -661,18 +677,6 @@ def _scalar(value: object) -> str:
     if kind is str:
         return _escape(value)
     raise TypeError(f"report JSON cannot hold a {kind.__name__}")
-
-
-def _entries(value: list[object], inner: str) -> str:
-    """The entries of a nonempty list as `_parts` lays them out, between
-    its brackets."""
-    sep = ",\n" + inner
-    types = _types(value)
-    if types == {int}:
-        return sep.join(map(int.__repr__, value))
-    if types == {list} and _types(chain.from_iterable(value)) <= {int}:
-        return _fill(value, sep, lambda n: _row_template(n, inner))
-    return sep.join(["".join(_parts(item, inner)) for item in value])
 
 
 def _chunks(items: Iterable[_T]) -> Iterator[list[_T]]:
@@ -710,10 +714,7 @@ def _filled(
 
 
 def _grid(
-    corner: str,
-    col_labels: list[str],
-    row_labels: list[str],
-    columns: Iterable[Iterable[object]],
+    corner: str, col_labels: list[str], row_labels: list[str], columns: Iterable[Iterable[object]]
 ) -> Iterable[str]:
     """Lay out a small table given column by column, one line per row: the
     row labels left-aligned, each value column right-aligned, every column
@@ -727,11 +728,8 @@ def _grid(
 
 
 def _count_grid(
-    prefix: str,
-    margin: str,
-    cells: Sequence[tuple[int, ...]],
-    distinct: Iterable[tuple[int, ...]],
-    col_sums: Sequence[int],
+    prefix: str, margin: str, cells: Sequence[tuple[int, ...]],
+    distinct: Iterable[tuple[int, ...]], col_sums: Sequence[int],
 ) -> Iterator[str]:
     """The lines of a table of counts and its sums in parts, as _grid would
     lay them out: rows {prefix}1.., columns Y1.., and `margin` for the row

@@ -16,7 +16,6 @@ import pytest
 
 import roughcm
 from roughcm import (
-    GranuleFrequencyMatrix,
     RoughClassifier,
     analyze_decision_system,
     confusion_bounds,
@@ -34,6 +33,7 @@ from roughcm import (
     validate_overlap,
     verify_theorems,
 )
+import roughcm.matrices as matrices_module
 import roughcm.report as report_module
 from roughcm.cli import main
 
@@ -119,24 +119,27 @@ def test_analyze_and_the_load_share_one_assembly(monkeypatch, tv_system):
     "classifier", [None, RoughClassifier((2, 2, 2, 1), 2)], ids=["mrc", "custom"]
 )
 def test_the_distinct_rows_are_counted_once_per_matrix(monkeypatch, tv_system, classifier):
-    view = GranuleFrequencyMatrix.__dict__["_distinct"]
-    original, counted = view.func, []
+    counted = []
 
-    def distinct(gfm):
-        counted.append(gfm)
-        return original(gfm)
+    class Counting(Counter):
+        """Records each count of a matrix's rows, the tuple of its cells."""
 
-    monkeypatch.setattr(view, "func", distinct)
+        def __init__(self, items=None, /):
+            if type(items) is tuple:
+                counted.append(items)
+            super().__init__(items)
+
+    monkeypatch.setattr(matrices_module, "Counter", Counting)
     report = analyze_decision_system(
         tv_system, attributes=("Price", "Screen"), classifier=classifier
     )
     render_text(report)
     data = json.loads(report_to_json(report))
-    assert len(counted) == 1 and counted[0] is report.frequency
+    assert len(counted) == 1 and counted[0] is report.frequency.cells
     loaded = report_from_dict(data)
     render_text(loaded)
     report_to_json(loaded)
-    assert len(counted) == 2 and counted[1] is loaded.frequency
+    assert len(counted) == 2 and counted[1] is loaded.frequency.cells
 
 
 def test_cli_analyze_with_a_mapping_builds_each_stage_once(calls, capsys, tv_csv, tmp_path):

@@ -79,6 +79,8 @@ class TestObjectIds:
             pytest.param(("a", "b", "c"), "str", id="strs"),
             pytest.param((False, True, 2), "bool", id="bools"),
             pytest.param((2, 0.5, False), "bool or float", id="mixed"),
+            # these do not sort: refused before the uniqueness check sorts them
+            pytest.param((3, 2.5, "x"), "float or str", id="unsortable"),
         ],
     )
     def test_ids_that_are_not_ints_are_refused(self, ids, names):

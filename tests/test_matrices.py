@@ -83,6 +83,17 @@ class TestGranuleFrequencyMatrix:
         with pytest.raises(ValueError, match="row sums"):
             GranuleFrequencyMatrix(cells, granules, decisions)
 
+    def test_rejects_equal_rows_of_granules_of_different_sizes(self):
+        # granules {1, 2} and {3, 4, 5}, classes {1, 3, 5} and {2, 4}: the rows
+        # are (1, 1) and (2, 1); given as two equal rows, separate tuples that
+        # count as one distinct row, the second row's sum is not its size
+        granules = Partition([[1, 2], [3, 4, 5]])
+        decisions = Partition([[1, 3, 5], [2, 4]])
+        cells = (tuple([1, 1]), tuple([1, 1]))
+        assert cells[0] is not cells[1]
+        with pytest.raises(ValueError, match="row sums"):
+            GranuleFrequencyMatrix(cells, granules, decisions)
+
     def test_rejects_wrong_column_margin(self, tv_parts):
         granules, decisions = tv_parts
         cells = ((2, 0), (0, 1), (0, 1), (2, 0))

@@ -7,6 +7,8 @@ class it is mapped to, i.e. at least one member of the granule is
 classified correctly. The maximal row classifier picks, for each granule,
 a class with the highest frequency count; it satisfies the overlap rule by
 construction and maximizes the success ratio among all rough classifiers.
+It and the row-maximality test read each row's maximal classes from one
+map, _row_maxima, which takes one maximum per distinct frequency row.
 
 classifier_from_text reads a mapping file in one of two ways. A file whose
 lines are all blank or two indices apart is checked whole, a rule to a
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import filterfalse
+from operator import contains, itemgetter
 
 from .errors import ClassifierFileError, _listed
 from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, _require_shapes
@@ -105,6 +108,14 @@ def validate_overlap(
     )
 
 
+def _row_maxima(gfm: GranuleFrequencyMatrix) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each distinct frequency row's maximal classes, 1-based and ascending."""
+    return {
+        row: tuple([j for j, count in enumerate(row, start=1) if count == top])
+        for row, top in zip(gfm._distinct, map(max, gfm._distinct))
+    }
+
+
 def maximal_row_classifier(
     gfm: GranuleFrequencyMatrix,
     tie_break: TieBreak | str = TieBreak.LOWEST,
@@ -114,24 +125,17 @@ def maximal_row_classifier(
 
     Ties are resolved by `tie_break`, a TieBreak or its value string: the
     lowest tied class index, the highest, or a seeded uniform draw. The
-    random policy consumes one draw per row from random.Random(seed), so a
-    (matrix, policy, seed) triple always produces the same classifier.
-    Any other `tie_break` raises ValueError.
+    random policy consumes one draw per granule from random.Random(seed),
+    so a (matrix, policy, seed) triple always produces the same
+    classifier. Any other `tie_break` raises ValueError.
     """
     tie_break = TieBreak(tie_break)
-    k = gfm.k
-    if tie_break is TieBreak.LOWEST:
-        assignment = [row.index(max(row)) + 1 for row in gfm.cells]
-    elif tie_break is TieBreak.HIGHEST:
-        assignment = [k - row[::-1].index(max(row)) for row in gfm.cells]
+    if tie_break is TieBreak.RANDOM:
+        pick = random.Random(seed).choice
     else:
-        rng = random.Random(seed)
-        assignment = []
-        for row in gfm.cells:
-            top = max(row)
-            candidates = [j for j, count in enumerate(row, start=1) if count == top]
-            assignment.append(rng.choice(candidates))
-    return RoughClassifier(tuple(assignment), k)
+        pick = itemgetter(0 if tie_break is TieBreak.LOWEST else -1)
+    maxima = _row_maxima(gfm)
+    return RoughClassifier([pick(maxima[row]) for row in gfm.cells], gfm.k)
 
 
 def is_row_maximal(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> bool:
@@ -142,9 +146,8 @@ def is_row_maximal(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> bool:
     the sharper confusion-matrix bounds.
     """
     _require_shapes(f, gfm)
-    return all(
-        row[cls - 1] == max(row) for row, cls in zip(gfm.cells, f.assignment)
-    )
+    maxima = _row_maxima(gfm)
+    return all(map(contains, map(maxima.__getitem__, gfm.cells), f.assignment))
 
 
 def success_ratio(cm: RoughConfusionMatrix) -> Fraction:

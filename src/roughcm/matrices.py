@@ -42,8 +42,8 @@ class GranuleFrequencyMatrix:
     faithful contingency table of its two partitions, and its margins are
     read off the partitions. The constructor counts the distinct rows once
     (`_distinct`, each distinct row with the number of granules that have
-    it); the column sums, the approximation summary and the report writers
-    read their row facts off it.
+    it); the column sums, the approximation summary, the report writers
+    and the classifiers' row maxima (_row_maxima) read their row facts off it.
     """
 
     cells: tuple[tuple[int, ...], ...]

@@ -14,11 +14,11 @@ of granules it meets. A class's upper approximation is the granules it
 meets and its lower approximation those it meets alone, with sizes taken
 from the member tuples; lemma part 2 counts, object by object, the
 members of each lower approximation that the classifier maps to their
-own class. This is still not the fast path: the gfm counts flat codes
-i*k + j in a Counter and reads a granule as inside class j when its row
-holds its size at j, while the verifier de-duplicates (granule, class)
-pairs into one set per class and reads a granule as inside class j when
-class j alone meets it. `oracle_lower` and `oracle_upper` stay as the
+own class. This is still not the fast path: the gfm counts each object
+into flat cell i*k + j of one list and reads a granule as inside class j
+when its row holds its size at j, while the verifier de-duplicates
+(granule, class) pairs into one set per class and reads a granule as
+inside class j when class j alone meets it. `oracle_lower` and `oracle_upper` stay as the
 per-element routes the tests hold the verifier to.
 
 The verifier's inputs come from one chain, _judge: the overlap

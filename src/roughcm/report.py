@@ -105,8 +105,16 @@ def rational_triple(value: Fraction) -> dict[str, object]:
 
 
 def fraction_from_triple(data: dict[str, object]) -> Fraction:
-    """Rebuild the exact rational; the decimal field is ignored."""
-    return Fraction(data["num"], data["den"])
+    """Rebuild the exact rational; the decimal field is ignored. A triple that
+    rational_triple cannot write raises ReportFormatError."""
+    num, den = data.get("num"), data.get("den")
+    try:
+        _require_types(("num and den", {int}, [num, den]))
+        if den < 1 or Fraction(num, den).denominator != den:
+            raise ValueError(f"{num}/{den} is not in lowest terms with den > 0")
+    except (TypeError, ValueError) as exc:
+        raise ReportFormatError(f"malformed rational triple: {exc}") from exc
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

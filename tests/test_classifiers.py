@@ -16,6 +16,7 @@ from roughcm import (
     ClassifierFileError,
     DecisionSystem,
     GeneratorConfig,
+    GranuleFrequencyMatrix,
     OverlapViolationError,
     RoughClassifier,
     TieBreak,
@@ -126,20 +127,30 @@ class TestMaximalRowClassifier:
 
     @given(seed=st.integers(0, 2**32 - 1))
     def test_every_policy_picks_its_tied_maximum(self, seed):
-        """Reference: the tied maxima listed per row, as the policies define them."""
-        *_, gfm = _seeded_instance(seed)
-        tied = [
-            [j for j, count in enumerate(row, start=1) if count == max(row)]
-            for row in gfm.cells
-        ]
-        draws = random.Random(seed)
-        expected = {
-            TieBreak.LOWEST: tuple(t[0] for t in tied),
-            TieBreak.HIGHEST: tuple(t[-1] for t in tied),
-            TieBreak.RANDOM: tuple(draws.choice(t) for t in tied),
-        }
-        for policy, assignment in expected.items():
-            assert maximal_row_classifier(gfm, policy, seed).assignment == assignment
+        """Reference: the tied maxima listed per row, as the policies define them.
+
+        The second matrix comes from the public constructor with its equal,
+        tied rows as separate tuples: RANDOM draws once per granule, not once
+        per distinct row.
+        """
+        granules, decisions, _ = partitions_from_counts([[1, 1, 1]] * 6 + [[0, 2, 1]])
+        twins = GranuleFrequencyMatrix(
+            tuple(tuple([1, 1, 1]) for _ in range(6)) + ((0, 2, 1),), granules, decisions
+        )
+        assert twins.cells[0] == twins.cells[1] and twins.cells[0] is not twins.cells[1]
+        for gfm in (_seeded_instance(seed)[-1], twins):
+            tied = [
+                [j for j, count in enumerate(row, start=1) if count == max(row)]
+                for row in gfm.cells
+            ]
+            draws = random.Random(seed)
+            expected = {
+                TieBreak.LOWEST: tuple(t[0] for t in tied),
+                TieBreak.HIGHEST: tuple(t[-1] for t in tied),
+                TieBreak.RANDOM: tuple(draws.choice(t) for t in tied),
+            }
+            for policy, assignment in expected.items():
+                assert maximal_row_classifier(gfm, policy, seed).assignment == assignment
 
 
 class TestRowMaximality:
@@ -148,6 +159,20 @@ class TestRowMaximality:
         assert is_row_maximal(RoughClassifier((2, 2, 2, 1), 2), tv_gfm)
         assert not is_row_maximal(RoughClassifier((1, 2, 2, 2), 2), tv_gfm)
         assert not is_row_maximal(RoughClassifier((1, 1, 2, 1), 2), tv_gfm)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_row_by_row_reference(self, seed):
+        """Any tied maximum per row, and in half the cases one granule moved
+        to a class drawn from all of them."""
+        rng, *_, gfm = _seeded_instance(seed)
+        assignment = [
+            rng.choice([j for j, count in enumerate(row, start=1) if count == max(row)])
+            for row in gfm.cells
+        ]
+        if rng.random() < 0.5:
+            assignment[rng.randrange(gfm.m)] = rng.randint(1, gfm.k)
+        reference = all(row[c - 1] == max(row) for row, c in zip(gfm.cells, assignment))
+        assert is_row_maximal(RoughClassifier(assignment, gfm.k), gfm) == reference
 
 
 class TestSuccessRatio:

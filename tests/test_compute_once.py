@@ -17,12 +17,14 @@ import pytest
 import roughcm
 from roughcm import (
     RoughClassifier,
+    TieBreak,
     analyze_decision_system,
     confusion_bounds,
     confusion_matrix,
     decision_partition,
     granule_frequency_matrix,
     is_row_maximal,
+    maximal_row_classifier,
     oracle,
     partition_by_attributes,
     render_text,
@@ -33,9 +35,12 @@ from roughcm import (
     validate_overlap,
     verify_theorems,
 )
+import roughcm.classifiers as classifiers_module
 import roughcm.matrices as matrices_module
 import roughcm.report as report_module
 from roughcm.cli import main
+
+from conftest import partitions_from_counts
 
 STAGES = ("partition_by_attributes", "decision_partition", "granule_frequency_matrix")
 LOAD_STAGES = (
@@ -140,6 +145,26 @@ def test_the_distinct_rows_are_counted_once_per_matrix(monkeypatch, tv_system, c
     render_text(loaded)
     report_to_json(loaded)
     assert len(counted) == 2 and counted[1] is loaded.frequency.cells
+
+
+@pytest.mark.parametrize("policy", list(TieBreak), ids=lambda policy: policy.value)
+def test_the_row_maxima_are_taken_once_per_distinct_row(monkeypatch, policy):
+    """Five granules, two distinct rows: the maximal row classifier and the
+    row-maximality test each take two maxima, not five."""
+    _, _, gfm = partitions_from_counts([[2, 1], [2, 1], [1, 2], [2, 1], [1, 2]])
+    taken = []
+
+    def counted(*args, **kwargs):
+        taken.append(args)
+        return max(*args, **kwargs)
+
+    monkeypatch.setattr(classifiers_module, "max", counted, raising=False)
+    f = maximal_row_classifier(gfm, policy)
+    assert f.assignment == (1, 1, 2, 1, 2)
+    assert len(taken) == len(gfm._distinct) == 2
+    taken.clear()
+    assert is_row_maximal(f, gfm)
+    assert len(taken) == 2
 
 
 def test_cli_analyze_with_a_mapping_builds_each_stage_once(calls, capsys, tv_csv, tmp_path):

@@ -68,6 +68,26 @@ class TestRationalTriple:
         triple["decimal"] = "nonsense"
         assert fraction_from_triple(triple) == Fraction(22, 7)
 
+    @given(st.fractions())
+    def test_every_written_triple_loads(self, value):
+        assert fraction_from_triple(rational_triple(value)) == value
+
+    @pytest.mark.parametrize(
+        "triple,message",
+        [
+            ({"num": 1, "den": 0}, "1/0 is not in lowest terms with den > 0"),
+            ({"num": 1.5, "den": 2}, "num and den must be int, not float"),
+            ({"num": 1}, "num and den must be int, not null"),
+            ({"num": True, "den": 2}, "num and den must be int, not bool"),
+            ({"num": 2, "den": -4}, "2/-4 is not in lowest terms with den > 0"),
+            ({"num": 2, "den": 4}, "2/4 is not in lowest terms with den > 0"),
+        ],
+        ids=["zero-den", "float-num", "missing-den", "bool-num", "negative-den", "unreduced"],
+    )
+    def test_a_triple_rational_triple_cannot_write_is_refused(self, triple, message):
+        with pytest.raises(ReportFormatError, match=f"^malformed rational triple: {message}$"):
+            fraction_from_triple(triple)
+
 
 @pytest.fixture
 def tv_report(tv_system):

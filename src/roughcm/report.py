@@ -15,9 +15,11 @@ theorem record's columns, and the granule sizes an iterator.
 report_to_dict draws the sections into one dict. report_to_json writes
 exactly json.dumps(report_to_dict(r), indent=2) and a newline through
 one writer, _parts, at most _CHUNK items or row members a part, and
-render_text its text _CHUNK lines or ids a part. Both grow one string
-through _whole, and the command line writes the parts as they come, so
-neither the whole dict nor the whole text is ever held.
+render_text its text _CHUNK lines or ids a part, with its four tables
+(the gfm, the confusion matrix, the index and the bound table) laid out
+by one table writer, _grid. Both grow one string through _whole, and the
+command line writes the parts as they come, so neither the whole dict nor
+the whole text is ever held.
 
 Rows are laid out with no Python step and no type pass per row: a part
 of rows is one %-template, one shape per row length, filled from one flat
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import reprlib
 from bisect import bisect_right
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
@@ -107,8 +109,9 @@ def rational_triple(value: Fraction) -> dict[str, object]:
 def fraction_from_triple(data: dict[str, object]) -> Fraction:
     """Rebuild the exact rational; the decimal field is ignored. A triple that
     rational_triple cannot write raises ReportFormatError."""
-    num, den = data.get("num"), data.get("den")
     try:
+        _require_types(("a rational triple", {dict}, [data]))
+        num, den = data.get("num"), data.get("den")
         _require_types(("num and den", {int}, [num, den]))
         if den < 1 or Fraction(num, den).denominator != den:
             raise ValueError(f"{num}/{den} is not in lowest terms with den > 0")
@@ -722,39 +725,29 @@ def _filled(
 
 
 def _grid(
-    corner: str, col_labels: list[str], row_labels: list[str], columns: Iterable[Iterable[object]]
-) -> Iterable[str]:
-    """Lay out a small table given column by column, one line per row: the
-    row labels left-aligned, each value column right-aligned, every column
-    as wide as its widest entry and two spaces from the next."""
-    labels = [corner, *row_labels]
-    columns = [[label, *map(str, column)] for label, column in zip(col_labels, columns)]
-    first = map(str.ljust, labels, repeat(max(map(len, labels))))
-    padded = [map(str.rjust, column, repeat(max(map(len, column)))) for column in columns]
-    # the empty first field gives every line its two-space indent
-    return map("  ".join, zip(repeat(""), first, *padded))
-
-
-def _count_grid(
-    prefix: str, margin: str, cells: Sequence[tuple[int, ...]],
-    distinct: Iterable[tuple[int, ...]], col_sums: Sequence[int],
+    corner: str, col_labels: list[str], prefix: str, rows: Sequence[Hashable],
+    entries: dict[Hashable, tuple], last: tuple | None = None,
 ) -> Iterator[str]:
-    """The lines of a table of counts and its sums in parts, as _grid would
-    lay them out: rows {prefix}1.., columns Y1.., and `margin` for the row
-    sums' column and the column sums' row. Counts are never negative, so
-    each column's widest entry is its label or its sum. Each of the
-    `distinct` rows has its cells and sum laid out once, and each line is
-    its label and that text."""
-    sums = (*col_sums, sum(col_sums))
-    col_labels = [*map("Y{}".format, range(1, len(col_sums) + 1)), margin]
-    widths = list(map(max, map(len, col_labels), map(len, map(str, sums))))
+    """Lay out a table of the text report in parts, the one layout of all
+    four: a line of `corner` and the column labels, a line per row of
+    `rows` labelled {prefix}1.., then `last`, a label and its entries, if
+    given. Labels are left-aligned and entries right-aligned, each column
+    as wide as its label and its widest entry, two spaces from the next.
+    `entries` maps each distinct row to its entries, whose text is made
+    once with the table's one %-template; a line is its label and that
+    text."""
+    tail = [last] if last else []
+    widest = f"{prefix}{len(rows)}"  # the widest row label
+    columns = zip((corner, *col_labels), *tail, *((widest, *row) for row in entries.values()))
+    width, *widths = (max(map(len, map(str, column))) for column in columns)
     row_text = "  ".join(map("%{}s".format, widths))
-    texts = {row: row_text % (*row, sum(row)) for row in distinct}
-    width = max(len(f"{prefix}{len(cells)}"), len(margin))
-    yield f"  {' ' * width}  {row_text % tuple(col_labels)}\n"
-    lines = zip(range(1, len(cells) + 1), map(texts.__getitem__, cells))
-    yield from _filled(lines, "\n", f"  {prefix}%-{width - len(prefix)}s  %s")
-    yield f"\n  {margin.ljust(width)}  {row_text % sums}"
+    texts = {row: row_text % values for row, values in entries.items()}
+    line = f"  %-{width}s  {row_text}"
+    yield line % (corner, *col_labels) + "\n"
+    labelled = zip(range(1, len(rows) + 1), map(texts.__getitem__, rows))
+    yield from _filled(labelled, "\n", f"  {prefix}%-{width - len(prefix)}s  %s")
+    if last:
+        yield "\n" + line % last
 
 
 def _frac_text(value: Fraction) -> str:
@@ -769,7 +762,7 @@ def render_text(report: AnalysisReport) -> str:
 
 def _text_parts(report: AnalysisReport) -> Iterator[str]:
     """render_text's text in parts; lines that grow with the table go out
-    _CHUNK at a time."""
+    _CHUNK at a time. _grid, the one table writer, lays out its four tables."""
     gfm = report.frequency
     cm = report.confusion
     m, k = report.n_granules, report.n_classes
@@ -793,7 +786,9 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         yield from _joined((", ".join(map(str, ids)) for ids in _chunks(block)), ", ")
         yield "}"
     yield "\n\nGranule frequency matrix\n"
-    yield from _count_grid("X", "size", gfm.cells, gfm._distinct, gfm.class_sizes)
+    rows = {row: (*row, sum(row)) for row in gfm._distinct}
+    last = ("size", *gfm.class_sizes, gfm.total)
+    yield from _grid("", [*class_labels, "size"], "X", gfm.cells, rows, last)
 
     if report.classifier_kind == "mrc":
         classifier = f"mrc (tie-break: {report.tie_break}, seed: {report.seed})"
@@ -809,17 +804,18 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
         + ("yes" if report.row_maximal else "no")
         + "\n\nConfusion matrix (rows: predicted, columns: true)\n"
     )
-    yield from _count_grid("Y", "sum", cm.cells, cm.cells, cm.col_sums)
+    rows = {row: (*row, sum(row)) for row in cm.cells}
+    last = ("sum", *cm.col_sums, cm.total)
+    yield from _grid("", [*class_labels, "sum"], "Y", cm.cells, rows, last)
 
-    yield "\n\n"
-    lines = [
-        "Quality indices",
-        f"  gamma (approximation quality): {_frac_text(report.approximation.gamma)}",
-        f"  success ratio: {_frac_text(report.success)}",
-        f"  alpha (aggregate accuracy): {_frac_text(report.alpha_overall)}",
-    ]
+    yield (
+        "\n\nQuality indices\n"
+        f"  gamma (approximation quality): {_frac_text(report.approximation.gamma)}\n"
+        f"  success ratio: {_frac_text(report.success)}\n"
+        f"  alpha (aggregate accuracy): {_frac_text(report.alpha_overall)}\n"
+    )
     index_rows = [
-        [
+        (
             approx.size,
             approx.lower_size,
             approx.upper_size,
@@ -827,24 +823,17 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
             _frac_text(approx.upper_precision),
             _frac_text(approx.accuracy),
             _frac_text(alpha),
-        ]
+        )
         for approx, alpha in zip(report.approximation.classes, report.alpha_hat)
     ]
-    lines += _grid(
-        "class",
-        ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"],
-        class_labels,
-        zip(*index_rows),
-    )
-    lines.append("")
+    columns = ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"]
+    yield from _grid("class", columns, "Y", index_rows, dict(zip(index_rows, index_rows)))
 
     validated = "yes" if report.bounds.rule_validated else "no"
     maximal = "yes" if report.bounds.mrc_classifier else "no"
-    lines.append(
-        f"Confusion-matrix bounds (rule validated: {validated}, row-maximal: {maximal})"
-    )
+    yield f"\n\nConfusion-matrix bounds (rule validated: {validated}, row-maximal: {maximal})\n"
     bound_rows = [
-        [
+        (
             cb.class_size,
             cb.nl_star,
             cb.nl_star2,
@@ -853,34 +842,27 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
             cb.nu_star2,
             "-" if cb.nu_m is None else cb.nu_m,
             "yes" if cb.clamped else "no",
-        ]
+        )
         for cb in report.bounds.classes
     ]
-    lines += _grid(
-        "class",
-        ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"],
-        class_labels,
-        zip(*bound_rows),
-    )
-    lines.append("")
+    columns = ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"]
+    yield from _grid("class", columns, "Y", bound_rows, dict(zip(bound_rows, bound_rows)))
+    yield "\n\n"
 
     thm = report.theorems
     if not thm.applicable:
-        lines.append("Theorem checks: not applicable (overlap rule violated)")
-    else:
-        failed_bounds = thm._failed_bounds()
-        failed_lemmas = thm._failed_lemmas()
-        n_bounds = len(thm._bounds_passed)
-        n_lemmas = len(thm._lemmas_passed)
-        verdict = "FAIL" if failed_bounds or failed_lemmas else "PASS"
-        lines.append(
-            f"Theorem checks: {n_bounds - len(failed_bounds)}/{n_bounds} bound chains, "
-            f"{n_lemmas - len(failed_lemmas)}/{n_lemmas} lemma checks -> {verdict}"
-        )
-        for theorem, j, links in failed_bounds:
-            links = " <= ".join(map(str, links))
-            lines.append(f"  FAILED theorem {theorem}, class {j}: {links}")
-        for part, subject in failed_lemmas:
-            lines.append(f"  FAILED lemma part {part}, subject {subject}")
-    lines.append("")
-    yield "\n".join(lines)
+        yield "Theorem checks: not applicable (overlap rule violated)\n"
+        return
+    failed_bounds = thm._failed_bounds()
+    failed_lemmas = thm._failed_lemmas()
+    n_bounds = len(thm._bounds_passed)
+    n_lemmas = len(thm._lemmas_passed)
+    verdict = "FAIL" if failed_bounds or failed_lemmas else "PASS"
+    yield (
+        f"Theorem checks: {n_bounds - len(failed_bounds)}/{n_bounds} bound chains, "
+        f"{n_lemmas - len(failed_lemmas)}/{n_lemmas} lemma checks -> {verdict}\n"
+    )
+    for theorem, j, links in failed_bounds:
+        yield f"  FAILED theorem {theorem}, class {j}: {' <= '.join(map(str, links))}\n"
+    for part, subject in failed_lemmas:
+        yield f"  FAILED lemma part {part}, subject {subject}\n"

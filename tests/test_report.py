@@ -81,8 +81,14 @@ class TestRationalTriple:
             ({"num": True, "den": 2}, "num and den must be int, not bool"),
             ({"num": 2, "den": -4}, "2/-4 is not in lowest terms with den > 0"),
             ({"num": 2, "den": 4}, "2/4 is not in lowest terms with den > 0"),
+            ([1, 2], "a rational triple must be dict, not list"),
+            (None, "a rational triple must be dict, not null"),
+            ("1/2", "a rational triple must be dict, not str"),
         ],
-        ids=["zero-den", "float-num", "missing-den", "bool-num", "negative-den", "unreduced"],
+        ids=[
+            "zero-den", "float-num", "missing-den", "bool-num", "negative-den", "unreduced",
+            "list", "null", "str",
+        ],
     )
     def test_a_triple_rational_triple_cannot_write_is_refused(self, triple, message):
         with pytest.raises(ReportFormatError, match=f"^malformed rational triple: {message}$"):
@@ -355,36 +361,92 @@ class TestMediumReports:
 
     @_MEDIUM
     def test_text_layout_matches_a_row_by_row_grid(
-        self, monkeypatch, n_values, classifier, granules, row_maximal
+        self, n_values, classifier, granules, row_maximal
     ):
         report = analyze_decision_system(
             _medium_table(n_values, seed=n_values), classifier=classifier
         )
-        text = render_text(report)
-        gfm, cm = report.frequency, report.confusion
-        ys = [f"Y{j}" for j in range(1, gfm.k + 1)]
-        xs = [f"X{i}" for i in range(1, gfm.m + 1)]
-        gfm_rows = [[*row, size] for row, size in zip(gfm.cells, gfm.granule_sizes)]
-        gfm_rows.append([*gfm.class_sizes, gfm.total])
-        cm_rows = [[*row, size] for row, size in zip(cm.cells, cm.row_sums)]
-        cm_rows.append([*cm.col_sums, cm.total])
-        tables = {
-            "Granule frequency matrix": _row_grid(
-                "", ys + ["size"], xs + ["size"], gfm_rows
-            ),
-            "Confusion matrix (rows: predicted, columns: true)": _row_grid(
-                "", ys + ["sum"], ys + ["sum"], cm_rows
-            ),
-        }
-        for title, lines in tables.items():
-            assert text.split(f"\n{title}\n")[1].split("\n\n")[0] == "\n".join(lines)
+        _assert_tables_row_by_row(report)
 
-        # every table, the index and bound tables too, laid out row by row
-        def row_by_row(corner, col_labels, row_labels, columns):
-            return _row_grid(corner, col_labels, row_labels, zip(*columns))
+    def test_ten_or_more_classes_are_laid_out_row_by_row(self):
+        """Y10 and up are wider than Y1: some columns are as wide as their
+        label, others as their widest entry, which Y12, the largest class,
+        holds in the index and bound tables."""
+        labels = [f"y{j:02d}" for j in range(12)]
+        weights = [3, 3, 3, *[40] * 8, 1_200]
+        rng = random.Random(5)
+        # a row of each class first numbers the classes in this order
+        rows = [("v0", "w0", label) for label in labels]
+        # three in ten attribute pairs decide the class
+        fixed = {}
+        for _ in range(2_000):
+            key = (f"v{rng.randrange(12)}", f"w{rng.randrange(12)}")
+            if key not in fixed:
+                fixed[key] = rng.choices(labels, weights)[0] if rng.random() < 0.3 else None
+            rows.append((*key, fixed[key] or rng.choices(labels, weights)[0]))
+        report = analyze_decision_system(build_system(("a", "b", "d"), rows))
+        sizes = report.frequency.class_sizes
+        assert len(sizes) == 12 and max(sizes) == sizes[-1]
+        label_wider = [len(f"Y{j}") > len(str(size)) for j, size in enumerate(sizes, 1)]
+        assert True in label_wider and False in label_wider
+        _assert_tables_row_by_row(report)
 
-        monkeypatch.setattr(report_module, "_grid", row_by_row)
-        assert render_text(report) == text
+
+def _assert_tables_row_by_row(report):
+    """Hold the four tables of the report's text to _row_grid."""
+    text = render_text(report)
+    gfm, cm = report.frequency, report.confusion
+    ys = [f"Y{j}" for j in range(1, gfm.k + 1)]
+    xs = [f"X{i}" for i in range(1, gfm.m + 1)]
+    gfm_rows = [[*row, size] for row, size in zip(gfm.cells, gfm.granule_sizes)]
+    gfm_rows.append([*gfm.class_sizes, gfm.total])
+    cm_rows = [[*row, size] for row, size in zip(cm.cells, cm.row_sums)]
+    cm_rows.append([*cm.col_sums, cm.total])
+
+    def frac(value):
+        return f"{value} ({rational_triple(value)['decimal']})"
+
+    index_rows = [
+        [a.size, a.lower_size, a.upper_size, frac(a.lower_coverage),
+         frac(a.upper_precision), frac(a.accuracy), frac(alpha)]
+        for a, alpha in zip(report.approximation.classes, report.alpha_hat)
+    ]
+    bound_rows = [
+        [cb.class_size, cb.nl_star, cb.nl_star2, "-" if cb.nl_m is None else cb.nl_m,
+         cb.nu_star, cb.nu_star2, "-" if cb.nu_m is None else cb.nu_m,
+         "yes" if cb.clamped else "no"]
+        for cb in report.bounds.classes
+    ]
+    tables = [
+        ("Granule frequency matrix", _row_grid("", ys + ["size"], xs + ["size"], gfm_rows)),
+        (
+            "Confusion matrix (rows: predicted, columns: true)",
+            _row_grid("", ys + ["sum"], ys + ["sum"], cm_rows),
+        ),
+        (
+            # the index table follows the gamma, success ratio and alpha lines
+            "  alpha (aggregate accuracy): ",
+            _row_grid(
+                "class",
+                ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"],
+                ys,
+                index_rows,
+            ),
+        ),
+        (
+            "Confusion-matrix bounds (",
+            _row_grid(
+                "class",
+                ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"],
+                ys,
+                bound_rows,
+            ),
+        ),
+    ]
+    for heading, lines in tables:
+        # the lines below the heading's line, up to the next blank line
+        block = text.split(f"\n{heading}", 1)[1].split("\n", 1)[1].split("\n\n")[0]
+        assert block.split("\n") == lines
 
 
 class TestRenderText:

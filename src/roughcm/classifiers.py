@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import filterfalse
 from operator import contains, itemgetter
 
-from .errors import ClassifierFileError, _listed
+from .errors import ClassifierFileError, _listed, _require_types
 from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, _require_shapes
 
 __all__ = [
@@ -66,6 +66,10 @@ class RoughClassifier:
         object.__setattr__(self, "assignment", tuple(self.assignment))
         if not self.assignment:
             raise ValueError("a classifier needs at least one granule")
+        # a bool or a float passes the range check, but JSON writes neither as a class
+        _require_types(
+            ("class indices", {int}, self.assignment), ("n_classes", {int}, [self.n_classes])
+        )
         if self.n_classes < 1:
             raise ValueError("n_classes must be positive")
         bad = [cls for cls in self.assignment if not 1 <= cls <= self.n_classes]

@@ -133,7 +133,7 @@ def run_analyze(args: argparse.Namespace) -> AnalysisReport:
         ds,
         attributes=attributes,
         classifier=None if args.classifier == "mrc" else parse_mapping,
-        tie_break=TieBreak(args.tie_break),
+        tie_break=args.tie_break,
         seed=args.seed,
         source=str(args.input),
     )

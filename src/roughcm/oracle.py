@@ -121,10 +121,7 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         for name in (*_CONFIG_RANGES, "seed"):
             _require_int(name, getattr(self, name))
-        for name, (lo, hi) in _CONFIG_RANGES.items():
-            value = getattr(self, name)
-            if not lo <= value <= hi:
-                raise GeneratorConfigError(f"{name} must be in {lo}..{hi}, got {value}")
+        _require_ranges((name, getattr(self, name), r) for name, r in _CONFIG_RANGES.items())
         if self.n_decision_values > self.n_objects:
             raise GeneratorConfigError(
                 f"n_decision_values ({self.n_decision_values}) cannot exceed "
@@ -139,6 +136,13 @@ def _require_int(name: str, value: object) -> None:
     not deep in the generator."""
     if type(value) is not int:
         raise GeneratorConfigError(f"{name} must be an int, got {value!r}")
+
+
+def _require_ranges(checks: Iterable[tuple[str, int, tuple[int, int]]]) -> None:
+    """Raise GeneratorConfigError at the first (name, value, (lo, hi)) out of range."""
+    for name, value, (lo, hi) in checks:
+        if not lo <= value <= hi:
+            raise GeneratorConfigError(f"{name} must be in {lo}..{hi}, got {value}")
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -508,12 +512,10 @@ def run_fuzz_trials(
     if trials < 0:
         raise GeneratorConfigError(f"trials must be non-negative, got {trials}")
     # a trial's system may take the largest sizes its config allows
-    for name, value, (lo, hi) in (
+    _require_ranges((
         ("max_objects", max_objects, _CONFIG_RANGES["n_objects"]),
         ("max_classes", max_classes, _CONFIG_RANGES["n_decision_values"]),
-    ):
-        if not lo <= value <= hi:
-            raise GeneratorConfigError(f"{name} must be in {lo}..{hi}, got {value}")
+    ))
     kinds = tuple(classifier_kinds)
     if not kinds or any(kind not in ("mrc", "random") for kind in kinds):
         raise GeneratorConfigError(
@@ -522,7 +524,7 @@ def run_fuzz_trials(
 
     checks = failures = 0
     first: TrialFailure | None = None
-    policies = (TieBreak.LOWEST, TieBreak.HIGHEST, TieBreak.RANDOM)
+    policies = tuple(TieBreak)
     for trial in range(trials):
         rng = random.Random(_trial_seed(base_seed, trial))
         n_objects = rng.randint(2, max_objects)

@@ -15,11 +15,13 @@ theorem record's columns, and the granule sizes an iterator.
 report_to_dict draws the sections into one dict. report_to_json writes
 exactly json.dumps(report_to_dict(r), indent=2) and a newline through
 one writer, _parts, at most _CHUNK items or row members a part, and
-render_text its text _CHUNK lines or ids a part, with its four tables
-(the gfm, the confusion matrix, the index and the bound table) laid out
-by one table writer, _grid. Both grow one string through _whole, and the
-command line writes the parts as they come, so neither the whole dict nor
-the whole text is ever held.
+render_text its text _CHUNK lines or ids a part: its ids through _filled,
+its four tables (the gfm, the confusion matrix, the index and the bound
+table) through one table writer, _grid, each entry that is not an int
+through one cell rule, _cell, and the per-class indices from
+_class_indices, as the JSON lists them. Both grow one string through
+_whole, and the command line writes the parts as they come, so neither
+the whole dict nor the whole text is ever held.
 
 Rows are laid out with no Python step and no type pass per row: a part
 of rows is one %-template, one shape per row length, filled from one flat
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii as _escape
-from operator import add, eq, itemgetter
+from operator import add, attrgetter, eq, itemgetter
 from typing import TypeVar
 
 from .classifiers import (
@@ -205,7 +207,7 @@ def analyze_decision_system(
     """
     tie_break = TieBreak(tie_break)
     names = tuple(attributes) if attributes is not None else ds.condition_names
-    selected = tuple(n for n in ds.condition_names if n in set(names))
+    selected = tuple(filter(set(names).__contains__, ds.condition_names))
     provenance = (tie_break.value, seed) if classifier is None else (None, None)
     return _assemble(
         partition_by_attributes(ds, names), decision_partition(ds), classifier,
@@ -352,19 +354,11 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
         "success_ratio": rational_triple(report.success),
         "alpha_overall": rational_triple(report.alpha_overall),
         "classes": [
-            {
-                "class": j,
-                "size": approx.size,
-                "lower_size": approx.lower_size,
-                "upper_size": approx.upper_size,
-                "lower_coverage": rational_triple(approx.lower_coverage),
-                "upper_precision": rational_triple(approx.upper_precision),
-                "accuracy": rational_triple(approx.accuracy),
-                "alpha_hat": rational_triple(alpha),
-            }
-            for j, (approx, alpha) in enumerate(
-                zip(report.approximation.classes, report.alpha_hat), start=1
-            )
+            {"class": j, **{
+                key: rational_triple(v) if type(v) is Fraction else v
+                for key, v in zip(_INDEX_KEYS, values)
+            }}
+            for j, values in enumerate(_class_indices(report), start=1)
         ],
     }
     yield "bounds", {
@@ -389,6 +383,20 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
         "lemma_checks": _Table(part=parts, subject=subjects, passed=passed),
         "context": dict(theorems.context),
     }
+
+
+_INDEX_KEYS = (
+    "size", "lower_size", "upper_size", "lower_coverage", "upper_precision", "accuracy", "alpha_hat"
+)
+_APPROXIMATION = attrgetter(*_INDEX_KEYS[:-1])
+
+
+def _class_indices(report: AnalysisReport) -> Iterator[tuple[int | Fraction, ...]]:
+    """Each decision class's per-class indices, in _INDEX_KEYS order: its
+    size, lower and upper size, lower coverage, upper precision, accuracy
+    and alpha_hat. Both the JSON and the text index table list them."""
+    for approx, alpha in zip(report.approximation.classes, report.alpha_hat):
+        yield (*_APPROXIMATION(approx), alpha)
 
 
 def _drawn(value: object) -> object:
@@ -708,20 +716,16 @@ def _fill(rows: list[Sequence[object]], sep: str, template: str | Callable[[int]
     return sep.join(map(shapes.__getitem__, lengths)) % values
 
 
-def _joined(parts: Iterable[str], sep: str) -> Iterator[str]:
-    """`sep.join(parts)`, a part at a time."""
-    parts = iter(parts)
-    yield next(parts, "")
-    for part in parts:
-        yield sep
-        yield part
-
-
 def _filled(
     rows: Iterable[Sequence[object]], sep: str, template: str | Callable[[int], str]
 ) -> Iterator[str]:
-    """The rows as _fill lays them out, _CHUNK rows a part."""
-    return _joined(map(_fill, _chunks(rows), repeat(sep), repeat(template)), sep)
+    """The rows as _fill lays them out, _CHUNK rows a part, with each `sep`
+    between two parts a part of its own."""
+    chunks = _chunks(rows)
+    yield _fill(next(chunks, []), sep, template)
+    for chunk in chunks:
+        yield sep
+        yield _fill(chunk, sep, template)
 
 
 def _grid(
@@ -750,8 +754,20 @@ def _grid(
         yield "\n" + line % last
 
 
-def _frac_text(value: Fraction) -> str:
-    return f"{value} ({_decimal6(value)})"
+def _cell(value: object) -> object:
+    """A text report entry: a Fraction as its value and its six-place
+    decimal, a bool as yes or no, None as -, anything else as it is."""
+    if type(value) is Fraction:
+        return f"{value} ({_decimal6(value)})"
+    if type(value) is bool:
+        return "yes" if value else "no"
+    return "-" if value is None else value
+
+
+# the bound table lists nl^m beside nl**, not in ClassBounds' field order
+_BOUND_COLUMNS = attrgetter(
+    "class_size", "nl_star", "nl_star2", "nl_m", "nu_star", "nu_star2", "nu_m", "clamped"
+)
 
 
 @_collector_paused
@@ -783,7 +799,7 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
     for label, block in zip(class_labels, report.decisions._members):
         # a class line holds a share of all objects, so its ids go out in parts
         yield f"\n  {label} = {{"
-        yield from _joined((", ".join(map(str, ids)) for ids in _chunks(block)), ", ")
+        yield from _filled(zip(block), ", ", "%s")
         yield "}"
     yield "\n\nGranule frequency matrix\n"
     rows = {row: (*row, sum(row)) for row in gfm._distinct}
@@ -800,8 +816,7 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
     yield (
         "\n  overlap rule: "
         + ("satisfied" if report.validation.satisfies_rule else "violated")
-        + "\n  row-maximal: "
-        + ("yes" if report.row_maximal else "no")
+        + f"\n  row-maximal: {_cell(report.row_maximal)}"
         + "\n\nConfusion matrix (rows: predicted, columns: true)\n"
     )
     rows = {row: (*row, sum(row)) for row in cm.cells}
@@ -810,41 +825,17 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
 
     yield (
         "\n\nQuality indices\n"
-        f"  gamma (approximation quality): {_frac_text(report.approximation.gamma)}\n"
-        f"  success ratio: {_frac_text(report.success)}\n"
-        f"  alpha (aggregate accuracy): {_frac_text(report.alpha_overall)}\n"
+        f"  gamma (approximation quality): {_cell(report.approximation.gamma)}\n"
+        f"  success ratio: {_cell(report.success)}\n"
+        f"  alpha (aggregate accuracy): {_cell(report.alpha_overall)}\n"
     )
-    index_rows = [
-        (
-            approx.size,
-            approx.lower_size,
-            approx.upper_size,
-            _frac_text(approx.lower_coverage),
-            _frac_text(approx.upper_precision),
-            _frac_text(approx.accuracy),
-            _frac_text(alpha),
-        )
-        for approx, alpha in zip(report.approximation.classes, report.alpha_hat)
-    ]
+    index_rows = [tuple(map(_cell, values)) for values in _class_indices(report)]
     columns = ["size", "lower", "upper", "coverage", "precision", "accuracy", "alpha_hat"]
     yield from _grid("class", columns, "Y", index_rows, dict(zip(index_rows, index_rows)))
 
-    validated = "yes" if report.bounds.rule_validated else "no"
-    maximal = "yes" if report.bounds.mrc_classifier else "no"
+    validated, maximal = map(_cell, (report.bounds.rule_validated, report.bounds.mrc_classifier))
     yield f"\n\nConfusion-matrix bounds (rule validated: {validated}, row-maximal: {maximal})\n"
-    bound_rows = [
-        (
-            cb.class_size,
-            cb.nl_star,
-            cb.nl_star2,
-            "-" if cb.nl_m is None else cb.nl_m,
-            cb.nu_star,
-            cb.nu_star2,
-            "-" if cb.nu_m is None else cb.nu_m,
-            "yes" if cb.clamped else "no",
-        )
-        for cb in report.bounds.classes
-    ]
+    bound_rows = [tuple(map(_cell, _BOUND_COLUMNS(cb))) for cb in report.bounds.classes]
     columns = ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"]
     yield from _grid("class", columns, "Y", bound_rows, dict(zip(bound_rows, bound_rows)))
     yield "\n\n"

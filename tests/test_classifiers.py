@@ -60,6 +60,21 @@ class TestRoughClassifier:
         with pytest.raises(ValueError, match=r"1\.\.2: \[0, 3\]"):
             RoughClassifier((1, 3, 0), 2)
 
+    @pytest.mark.parametrize(
+        "assignment, n_classes, message",
+        [
+            ((True, 1), 2, "class indices must be int, not bool"),
+            ((1.0, 1), 2, "class indices must be int, not float"),
+            ((1, 2), True, "n_classes must be int, not bool"),
+        ],
+    )
+    def test_rejects_class_indices_that_are_not_ints(self, assignment, n_classes, message):
+        # a bool or a float compares as a number, so the range check alone
+        # lets a bool class reach the JSON report as `true` and a float one
+        # reach validate_overlap as a tuple index
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            RoughClassifier(assignment, n_classes)
+
 
 class TestValidateOverlap:
     def test_worked_example_passes(self, tv_gfm):

@@ -1,0 +1,119 @@
+"""Check that two checkouts of roughcm write the same bytes.
+
+Usage, from anywhere:
+
+    python3 tools/same_stdout.py PARENT_ROOT CHANGE_ROOT
+
+Each root is a checkout of the repository (a directory holding src/roughcm
+and perfbench/). In a temporary directory the script makes the benchmark's
+seed-1 and seed-2 fine tables, each with its classifier mapping, and coarse
+tables, with perfbench/gen.py at the shapes perfbench/run.py names. Then,
+with each root's src alone on PYTHONPATH and no bytecode written, it runs:
+
+- `python -m roughcm analyze` on every table, in text and in JSON;
+- the root's perfbench/roundtrip.py on the parent's JSON report of each
+  fine table;
+- `python -m roughcm fuzz --trials 10000 --seed 42`, in JSON and in text.
+
+It prints one line per case, `same` or `DIFFERENT`, with both exit codes
+and stdout sizes, and exits 1 if any case differs in its stdout bytes or
+its exit code. Standard library only; it takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import check  # noqa: E402
+import gen  # noqa: E402
+import run  # noqa: E402
+
+SEEDS = (1, 2)
+FORMATS = ("text", "json")
+FUZZ = ["-m", "roughcm", "fuzz", "--trials", "10000", "--seed", "42"]
+ROUNDTRIP = Path("perfbench", "roundtrip.py")
+
+
+def write_tables(work: Path, seed: int) -> dict[str, list[str]]:
+    """Write the seed's fine table with its mapping and its coarse table
+    into `work`; return each table's analyze arguments."""
+    tables = {}
+    for grain, shape, custom in (("fine", run.FINE, True), ("coarse", run.COARSE, False)):
+        header, rows = gen.make_table(seed, *shape)
+        table = work / f"{grain}{seed}.csv"
+        gen.write_table(table, header, rows)
+        tables[grain] = ["-m", "roughcm", "analyze", "--input", table.name]
+        if custom:
+            mapping = work / f"{grain}{seed}-map.txt"
+            gen.write_mapping(mapping, gen.random_mapping(seed, check.tally(rows)))
+            tables[grain] += ["--classifier", mapping.name]
+    return tables
+
+
+def run_python(root: Path, args: list[str | Path], work: Path) -> tuple[int, bytes]:
+    """Exit code and stdout of `python ARGS` in `work`, importing roughcm
+    from the root's src; a Path among ARGS names a file of the root."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    args = [str(root / a) if isinstance(a, Path) else a for a in args]
+    done = subprocess.run(
+        [sys.executable, *args], cwd=work, env=env, stdout=subprocess.PIPE, check=False
+    )
+    return done.returncode, done.stdout
+
+
+def compare(
+    name: str, roots: tuple[Path, Path], args: list[str | Path], work: Path
+) -> tuple[bool, bytes]:
+    """Run one case on both roots and print its line; return whether the
+    two agree, and the parent's stdout."""
+    (parent_code, parent_out), (change_code, change_out) = (
+        run_python(root, args, work) for root in roots
+    )
+    same = parent_code == change_code and parent_out == change_out
+    print(
+        f"{'same' if same else 'DIFFERENT':9}  {name}: exit {parent_code} / {change_code}, "
+        f"stdout {len(parent_out)} / {len(change_out)} bytes",
+        flush=True,
+    )
+    return same, parent_out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    args = parser.parse_args(argv)
+    roots = (args.parent.resolve(), args.change.resolve())
+    for root in roots:
+        if not (root / "src" / "roughcm" / "__init__.py").is_file():
+            parser.error(f"no roughcm sources under {root / 'src'}")
+    agreed = []
+    with tempfile.TemporaryDirectory(prefix="same-stdout-") as tmp:
+        work = Path(tmp)
+        for seed in SEEDS:
+            for grain, analyze in write_tables(work, seed).items():
+                for fmt in FORMATS:
+                    name = f"analyze {grain} table, seed {seed}, {fmt}"
+                    same, out = compare(name, roots, [*analyze, "--format", fmt], work)
+                    agreed.append(same)
+                    if grain == "fine" and fmt == "json":
+                        report = work / f"fine{seed}-parent.json"
+                        report.write_bytes(out)
+                        name = f"roundtrip of the parent's fine report, seed {seed}"
+                        agreed.append(compare(name, roots, [ROUNDTRIP, report.name], work)[0])
+        for fmt in FORMATS:
+            name = f"fuzz --trials 10000 --seed 42, {fmt}"
+            agreed.append(compare(name, roots, [*FUZZ, "--format", fmt], work)[0])
+    print(f"{sum(agreed)} of {len(agreed)} cases the same")
+    return 0 if all(agreed) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

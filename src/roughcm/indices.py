@@ -38,10 +38,11 @@ happen only in reports and are never the source of truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import compress
-from operator import eq, itemgetter, mul
+from itertools import compress, starmap
+from operator import attrgetter, eq, itemgetter, mul
 
 from .classifiers import ValidationReport, success_ratio
 from .errors import DegenerateDecisionError, UndefinedClassError
@@ -200,28 +201,48 @@ class ClassBounds:
             raise ValueError("estimators are clamped at zero, negatives are invalid")
 
 
-@dataclass(frozen=True)
+# ClassBounds' fields: the order of a bounds row and of the JSON's entries
+_BOUND_FIELDS = tuple(field.name for field in fields(ClassBounds))
+
+
+@dataclass(frozen=True, init=False)
 class BoundsReport:
     """Per-class estimator values plus the flags that scope their meaning.
 
     Under the overlap rule the estimator chains follow from the formulas in
     confusion_bounds; verify_theorems checks them against the true sizes.
+
+    Each class's values are kept as one plain row in _BOUND_FIELDS order,
+    nl_m and nu_m set exactly when mrc_classifier is; classes builds the
+    records on every read, and the constructor takes records.
     """
 
     classes: tuple[ClassBounds, ...]
     rule_validated: bool
     mrc_classifier: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", tuple(self.classes))
-        if not self.classes:
+    def __init__(
+        self, classes: Iterable[ClassBounds], rule_validated: bool, mrc_classifier: bool
+    ) -> None:
+        rows = tuple(map(attrgetter(*_BOUND_FIELDS), classes))
+        if not rows:
             raise ValueError("a bounds report needs at least one class")
-        for cb in self.classes:
-            if self.mrc_classifier:
-                if cb.nl_m is None or cb.nu_m is None:
-                    raise ValueError("row-maximal estimators missing")
-            elif cb.nl_m is not None or cb.nu_m is not None:
+        for sharp in map(itemgetter(5, 6), rows):
+            if mrc_classifier and None in sharp:
+                raise ValueError("row-maximal estimators missing")
+            if not mrc_classifier and sharp != (None, None):
                 raise ValueError("row-maximal estimators set without the flag")
+        self._fill(rows, rule_validated, mrc_classifier)
+
+    def _fill(self, rows: tuple[tuple, ...], rule_validated: bool, mrc: bool) -> BoundsReport:
+        """Hold the rows and the two flags, with no check."""
+        self.__dict__.update(_rows=rows, rule_validated=rule_validated, mrc_classifier=mrc)
+        return self
+
+    # named as the field above, so replace, == and repr read the records
+    @property
+    def classes(self) -> tuple[ClassBounds, ...]:
+        return tuple(starmap(ClassBounds, self._rows))
 
 
 def confusion_bounds(
@@ -234,7 +255,7 @@ def confusion_bounds(
     without the overlap rule) are clamped to zero and flagged per class.
     Each row and column of the matrix is read once.
     """
-    classes = []
+    rows = []
     for j, (row, col) in enumerate(zip(cm.cells, zip(*cm.cells))):
         diag, row_sum, col_sum = row[j], sum(row), sum(col)
         row_off = row_sum - diag
@@ -251,16 +272,5 @@ def confusion_bounds(
             clamped = clamped or raw_m < 0
             nl_m = max(0, raw_m)
             nu_m = diag + row_off + 2 * col_off
-        classes.append(
-            ClassBounds(
-                class_size=col_sum,
-                nl_star=diag,
-                nl_star2=nl_star2,
-                nu_star=nu_star,
-                nu_star2=nu_star2,
-                nl_m=nl_m,
-                nu_m=nu_m,
-                clamped=clamped,
-            )
-        )
-    return BoundsReport(tuple(classes), validation.satisfies_rule, is_mrc)
+        rows.append((col_sum, diag, nl_star2, nu_star, nu_star2, nl_m, nu_m, clamped))
+    return BoundsReport.__new__(BoundsReport)._fill(tuple(rows), validation.satisfies_rule, is_mrc)

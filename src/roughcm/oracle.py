@@ -66,7 +66,7 @@ from .core import (
     decision_partition,
     partition_by_attributes,
 )
-from .errors import GeneratorConfigError, InstanceTooLargeError
+from .errors import GeneratorConfigError, InstanceTooLargeError, ShapeMismatchError
 from .indices import BoundsReport, confusion_bounds
 from .matrices import (
     GranuleFrequencyMatrix,
@@ -380,9 +380,9 @@ def verify_theorems(
     The lemma checks cover the three consequences of the overlap rule: a
     granule inside a class must be mapped to it, lower approximations sit
     inside predictor sets, and a zero diagonal cell forces its whole row
-    to zero. Where the checks apply, a classifier whose shape does not fit
-    the matrix raises ShapeMismatchError. The checks go straight into the
-    report's columns.
+    to zero. Where the checks apply, a classifier, confusion matrix or
+    bounds whose shape does not fit the matrix raises ShapeMismatchError.
+    The checks go straight into the report's columns.
     """
     granules, decisions = gfm.granules, gfm.decisions
     ctx = dict(context or {})
@@ -390,6 +390,9 @@ def verify_theorems(
         ctx.setdefault("status", "not-applicable: overlap rule violated")
         return TheoremReport(False, (), (), ctx)
     _require_shapes(f, gfm)
+    for stage, k in (("confusion matrix", cm.k), ("bounds", len(bounds._rows))):
+        if k != gfm.k:
+            raise ShapeMismatchError(f"{stage} has {k} classes, matrix has {gfm.k}")
 
     # class j's upper approximation is the granules it meets, its lower
     # approximation those it meets alone
@@ -401,14 +404,13 @@ def verify_theorems(
     true_nu = [sum(map(size_of, met_j)) for met_j in met]
 
     chains = []
-    truths = zip(bounds.classes, true_nl, true_nu)
-    for j, (cb, nl, nu) in enumerate(truths, start=1):
-        n_j = cb.class_size
-        chains.append((1, j, (nl, cb.nl_star2, cb.nl_star, n_j)))
-        chains.append((2, j, (n_j, cb.nu_star, cb.nu_star2, nu)))
+    for j, (row, nl, nu) in enumerate(zip(bounds._rows, true_nl, true_nu), start=1):
+        n_j, nl_star, nl_star2, nu_star, nu_star2, nl_m, nu_m, _ = row
+        chains.append((1, j, (nl, nl_star2, nl_star, n_j)))
+        chains.append((2, j, (n_j, nu_star, nu_star2, nu)))
         if bounds.mrc_classifier:
-            chains.append((3, j, (nl, cb.nl_m, cb.nl_star2)))
-            chains.append((4, j, (cb.nl_star2, cb.nu_m, nu)))
+            chains.append((3, j, (nl, nl_m, nl_star2)))
+            chains.append((4, j, (nl_star2, nu_m, nu)))
 
     # a granule lies inside class j exactly when its row holds its size at j;
     # the 0/1 mask of such granules stands for lemma part 1's subjects

@@ -42,7 +42,7 @@ from __future__ import annotations
 import reprlib
 from bisect import bisect_right
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, chain, count, islice, repeat, starmap
@@ -73,6 +73,7 @@ from .errors import (
 from .indices import (
     ApproximationSummary,
     BoundsReport,
+    _BOUND_FIELDS,
     alpha_hat_overall,
     alpha_hat_per_class,
     approximation_summary,
@@ -364,10 +365,9 @@ def _sections(report: AnalysisReport) -> Iterator[tuple[str, object]]:
     yield "bounds", {
         "rule_validated": report.bounds.rule_validated,
         "mrc_classifier": report.bounds.mrc_classifier,
-        # ClassBounds declares its fields in the order the rows list them
         "classes": [
-            {"class": j, **asdict(cb)}
-            for j, cb in enumerate(report.bounds.classes, start=1)
+            {"class": j, **dict(zip(_BOUND_FIELDS, row))}
+            for j, row in enumerate(report.bounds._rows, start=1)
         ],
     }
     theorems = report.theorems
@@ -764,10 +764,8 @@ def _cell(value: object) -> object:
     return "-" if value is None else value
 
 
-# the bound table lists nl^m beside nl**, not in ClassBounds' field order
-_BOUND_COLUMNS = attrgetter(
-    "class_size", "nl_star", "nl_star2", "nl_m", "nu_star", "nu_star2", "nu_m", "clamped"
-)
+# the bound table lists nl^m beside nl**, not in the rows' _BOUND_FIELDS order
+_BOUND_COLUMNS = itemgetter(0, 1, 2, 5, 3, 4, 6, 7)
 
 
 @_collector_paused
@@ -835,7 +833,7 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
 
     validated, maximal = map(_cell, (report.bounds.rule_validated, report.bounds.mrc_classifier))
     yield f"\n\nConfusion-matrix bounds (rule validated: {validated}, row-maximal: {maximal})\n"
-    bound_rows = [tuple(map(_cell, _BOUND_COLUMNS(cb))) for cb in report.bounds.classes]
+    bound_rows = [tuple(map(_cell, _BOUND_COLUMNS(row))) for row in report.bounds._rows]
     columns = ["|Y|", "nl*", "nl**", "nl^m", "nu*", "nu**", "nu^m", "clamped"]
     yield from _grid("class", columns, "Y", bound_rows, dict(zip(bound_rows, bound_rows)))
     yield "\n\n"

@@ -8,6 +8,7 @@ shows up in the counts.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -36,6 +37,7 @@ from roughcm import (
     verify_theorems,
 )
 import roughcm.classifiers as classifiers_module
+import roughcm.indices as indices_module
 import roughcm.matrices as matrices_module
 import roughcm.report as report_module
 from roughcm.cli import main
@@ -208,3 +210,53 @@ def test_the_verifier_calls_neither_oracle(calls, tv_system, assignment, applica
     report = verify_theorems(gfm, f, cm, bounds)
     assert report.applicable == applicable
     assert [calls[name] for name in ORACLES] == [0, 0]
+
+
+@pytest.fixture
+def records(monkeypatch):
+    """Every ClassBounds record built, by any module."""
+    built = []
+    original = indices_module.ClassBounds.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(indices_module.ClassBounds, "__post_init__", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "classifier", [None, RoughClassifier((2, 2, 2, 1), 2)], ids=["mrc", "custom"]
+)
+def test_no_bounds_record_is_built_by_fuzz_an_analysis_a_save_or_a_load(
+    records, tv_system, classifier
+):
+    run_fuzz_trials(trials=40, base_seed=5)
+    assert records == []
+    report = analyze_decision_system(
+        tv_system, attributes=("Price", "Screen"), classifier=classifier
+    )
+    render_text(report)
+    loaded = report_from_dict(json.loads(report_to_json(report)))
+    render_text(loaded)
+    report_to_json(loaded)
+    assert records == []
+    # the record view builds them, one per class on each read
+    assert len(loaded.bounds.classes) == len(records) == 2
+
+
+def test_the_bounds_build_their_records_on_each_read(tv_system):
+    granules = partition_by_attributes(tv_system, ("Price", "Screen"))
+    gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
+    f = maximal_row_classifier(gfm)
+    cm, validation = confusion_matrix(gfm, f), validate_overlap(f, gfm)
+    bounds = confusion_bounds(cm, validation, True)
+    assert bounds.classes is not bounds.classes
+    assert bounds.classes == bounds.classes
+    assert dataclasses.replace(bounds) == bounds
+    blunt = [dataclasses.replace(cb, nl_m=None, nu_m=None) for cb in bounds.classes]
+    blunt_bounds = dataclasses.replace(bounds, classes=blunt, mrc_classifier=False)
+    assert blunt_bounds == confusion_bounds(cm, validation, False)
+    with pytest.raises(ValueError, match="row-maximal estimators missing"):
+        dataclasses.replace(bounds, classes=blunt)

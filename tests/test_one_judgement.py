@@ -4,6 +4,8 @@ The stages that follow the classifier (the overlap validation, the
 confusion matrix, its bounds and the theorem record) are built by
 `oracle._judge` alone, and the analysis, the report load and every fuzz
 trial take them from it, so the chain cannot fork into two orders again.
+The bounds keep one plain row per class: the verifier and both report
+writers read the rows, and only the bounds' record view builds records.
 The structural checks read the package with the standard library's `ast`,
 as tests/test_no_orphans.py does. A trial whose record is not applicable
 is pinned here too.
@@ -66,6 +68,27 @@ def test_the_analysis_the_load_and_fuzz_share_the_judgement():
     assert _readers("_assemble") == {
         ("report.py", "analyze_decision_system"),
         ("report.py", "_rebuild"),
+    }
+
+
+def test_only_the_bounds_record_view_reads_the_record_class():
+    # the module-level field list, then BoundsReport's record view: the
+    # field's annotation, the constructor that takes records and the
+    # property that builds them
+    assert _readers("ClassBounds") == {
+        ("indices.py", "<module>"),
+        ("indices.py", "BoundsReport"),
+        ("indices.py", "BoundsReport.__init__"),
+        ("indices.py", "BoundsReport.classes"),
+    }
+
+
+def test_the_verifier_and_both_writers_read_the_bound_rows():
+    assert _readers("_rows") == {
+        ("indices.py", "BoundsReport.classes"),
+        ("oracle.py", "verify_theorems"),
+        ("report.py", "_sections"),
+        ("report.py", "_text_parts"),
     }
 
 

@@ -335,6 +335,30 @@ class TestVerifyTheorems:
         with pytest.raises(ShapeMismatchError, match="classifier assigns 3 granules"):
             verify_theorems(gfm, short, cm, bounds)
 
+    def test_a_matrix_or_bounds_of_another_class_count_is_refused_where_checks_apply(self):
+        """Every class of the frequency matrix is checked: a confusion
+        matrix or bounds of fewer or more classes are not cut to fit."""
+        stages = {}
+        for counts in ([[2, 0], [1, 1]], [[2, 0, 0], [1, 1, 0], [0, 1, 2]]):
+            _, _, gfm = partitions_from_counts(counts)
+            f = maximal_row_classifier(gfm)
+            cm = confusion_matrix(gfm, f)
+            bounds = confusion_bounds(cm, validate_overlap(f, gfm), is_row_maximal(f, gfm))
+            assert verify_theorems(gfm, f, cm, bounds).overall_pass
+            stages[gfm.k] = gfm, f, cm, bounds
+        for k, other in ((2, 3), (3, 2)):
+            gfm, f, cm, bounds = stages[k]
+            other_cm, other_bounds = stages[other][2:]
+            message = f"has {other} classes, matrix has {k}"
+            with pytest.raises(ShapeMismatchError, match=f"^bounds {message}$"):
+                verify_theorems(gfm, f, cm, other_bounds)
+            with pytest.raises(ShapeMismatchError, match=f"^confusion matrix {message}$"):
+                verify_theorems(gfm, f, other_cm, bounds)
+            with pytest.raises(ShapeMismatchError, match=f"^confusion matrix {message}$"):
+                verify_theorems(gfm, f, other_cm, other_bounds)
+            skipped = confusion_bounds(other_cm, ValidationReport((1,)), is_mrc=False)
+            assert not verify_theorems(gfm, f, other_cm, skipped).applicable
+
 
 class TestFuzzTrials:
     def test_smoke_run_is_clean(self):

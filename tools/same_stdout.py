@@ -13,16 +13,23 @@ with each root's src alone on PYTHONPATH and no bytecode written, it runs:
 - `python -m roughcm analyze` on every table, in text and in JSON;
 - the root's perfbench/roundtrip.py on the parent's JSON report of each
   fine table;
-- `python -m roughcm fuzz --trials 10000 --seed 42`, in JSON and in text.
+- `python -m roughcm fuzz --trials 10000 --seed 42`, in JSON and in text;
+- three refused inputs: a ragged CSV (exit 1), a mapping file that breaks
+  the overlap rule on a small table (exit 2), and the parent's JSON
+  report of that table with `bounds.classes.0.nl_star` changed, loaded by
+  a `-c` snippet that writes the ReportFormatError message to stderr
+  rather than a traceback, whose paths would differ between roots.
 
 It prints one line per case, `same` or `DIFFERENT`, with both exit codes
-and stdout sizes, and exits 1 if any case differs in its stdout bytes or
-its exit code. Standard library only; it takes about half a minute.
+and stdout and stderr sizes, and exits 1 if any case differs in its exit
+code, its stdout bytes or its stderr bytes. Standard library only; it
+takes about half a minute.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -39,6 +46,15 @@ SEEDS = (1, 2)
 FORMATS = ("text", "json")
 FUZZ = ["-m", "roughcm", "fuzz", "--trials", "10000", "--seed", "42"]
 ROUNDTRIP = Path("perfbench", "roundtrip.py")
+SMALL = ["-m", "roughcm", "analyze", "--input", "small.csv"]
+LOAD = """
+import json, sys
+from roughcm import ReportFormatError, report_from_dict
+try:
+    report_from_dict(json.load(open(sys.argv[1], encoding="utf-8")))
+except ReportFormatError as exc:
+    raise SystemExit(f"ReportFormatError: {exc}")
+"""
 
 
 def write_tables(work: Path, seed: int) -> dict[str, list[str]]:
@@ -57,15 +73,15 @@ def write_tables(work: Path, seed: int) -> dict[str, list[str]]:
     return tables
 
 
-def run_python(root: Path, args: list[str | Path], work: Path) -> tuple[int, bytes]:
-    """Exit code and stdout of `python ARGS` in `work`, importing roughcm
-    from the root's src; a Path among ARGS names a file of the root."""
+def run_python(root: Path, args: list[str | Path], work: Path) -> tuple[int, bytes, bytes]:
+    """Exit code, stdout and stderr of `python ARGS` in `work`, importing
+    roughcm from the root's src; a Path among ARGS names a file of the root."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [str(root / a) if isinstance(a, Path) else a for a in args]
     done = subprocess.run(
-        [sys.executable, *args], cwd=work, env=env, stdout=subprocess.PIPE, check=False
+        [sys.executable, *args], cwd=work, env=env, capture_output=True, check=False
     )
-    return done.returncode, done.stdout
+    return done.returncode, done.stdout, done.stderr
 
 
 def compare(
@@ -73,16 +89,32 @@ def compare(
 ) -> tuple[bool, bytes]:
     """Run one case on both roots and print its line; return whether the
     two agree, and the parent's stdout."""
-    (parent_code, parent_out), (change_code, change_out) = (
-        run_python(root, args, work) for root in roots
-    )
-    same = parent_code == change_code and parent_out == change_out
+    parent, change = (run_python(root, args, work) for root in roots)
+    same = parent == change
     print(
-        f"{'same' if same else 'DIFFERENT':9}  {name}: exit {parent_code} / {change_code}, "
-        f"stdout {len(parent_out)} / {len(change_out)} bytes",
+        f"{'same' if same else 'DIFFERENT':9}  {name}: exit {parent[0]} / {change[0]}, "
+        f"stdout {len(parent[1])} / {len(change[1])} bytes, "
+        f"stderr {len(parent[2])} / {len(change[2])} bytes",
         flush=True,
     )
-    return same, parent_out
+    return same, parent[1]
+
+
+def refused_inputs(roots: tuple[Path, Path], work: Path) -> list[bool]:
+    """Compare the three refused inputs; return whether each agreed."""
+    (work / "ragged.csv").write_text("a,b,d\n1,2,x\n1,2\n", encoding="utf-8")
+    (work / "small.csv").write_text("a,d\n1,x\n1,y\n2,y\n", encoding="utf-8")
+    # granule 2 holds class y alone, so mapping it to x breaks the overlap rule
+    (work / "small-map.txt").write_text("1 1\n2 1\n", encoding="utf-8")
+    report = json.loads(run_python(roots[0], [*SMALL, "--format", "json"], work)[1])
+    report["bounds"]["classes"][0]["nl_star"] += 1
+    (work / "small-tampered.json").write_text(json.dumps(report, indent=2), encoding="utf-8")
+    cases = (
+        ("refused: ragged CSV", ["-m", "roughcm", "analyze", "--input", "ragged.csv"]),
+        ("refused: mapping breaks the overlap rule", [*SMALL, "--classifier", "small-map.txt"]),
+        ("refused: report with a changed bound", ["-c", LOAD, "small-tampered.json"]),
+    )
+    return [compare(name, roots, args, work)[0] for name, args in cases]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -111,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         for fmt in FORMATS:
             name = f"fuzz --trials 10000 --seed 42, {fmt}"
             agreed.append(compare(name, roots, [*FUZZ, "--format", fmt], work)[0])
+        agreed += refused_inputs(roots, work)
     print(f"{sum(agreed)} of {len(agreed)} cases the same")
     return 0 if all(agreed) else 1
 

@@ -163,10 +163,8 @@ def alpha_hat_per_class(cm: RoughConfusionMatrix) -> tuple[Fraction, ...]:
 def alpha_hat_overall(cm: RoughConfusionMatrix) -> Fraction:
     """Aggregate accuracy estimate: total diagonal over total row-plus-column
     mass minus the diagonal. Both margins sum to the total, so that mass is
-    2 * total - diagonal, and the result equals
-    alpha_from_gamma(gamma_hat(cm)) exactly."""
-    diag = sum(cm.diagonal)
-    return Fraction(diag, 2 * cm.total - diag)
+    2 * total - diagonal, which is alpha_from_gamma of the success ratio."""
+    return alpha_from_gamma(success_ratio(cm))
 
 
 def alpha_from_gamma(quality: Fraction | int) -> Fraction:

@@ -37,13 +37,17 @@ __all__ = [
 class GranuleFrequencyMatrix:
     """Cross-classification counts of granules (rows) by decision classes.
 
-    Row sums equal granule sizes and column sums equal class sizes; both
-    are checked on construction, so a value of this type is always a
-    faithful contingency table of its two partitions, and its margins are
-    read off the partitions. The constructor counts the distinct rows once
-    (`_distinct`, each distinct row with the number of granules that have
-    it); the column sums, the approximation summary, the report writers
-    and the classifiers' row maxima (_row_maxima) read their row facts off it.
+    Row sums equal granule sizes and column sums equal class sizes; only
+    these margins are checked on construction, so the public constructor
+    accepts cells that keep every margin but not the objects (a 2x2 swap of
+    counts). granule_frequency_matrix always builds the faithful table, and
+    the margins are read off the partitions. The verifier reads its truths
+    from the partitions' objects, never from the cells, so the estimators
+    drawn from such cells are held to the objects. The constructor counts
+    the distinct rows once (`_distinct`, each distinct row with the number
+    of granules that have it); the column sums, the approximation summary,
+    the report writers and the classifiers' row maxima (_row_maxima) read
+    their row facts off it.
     """
 
     cells: tuple[tuple[int, ...], ...]

@@ -7,19 +7,27 @@ classifier is found by enumerating every assignment instead of taking row
 maxima, and the bound theorems are verified inequality by inequality on
 randomly generated decision systems.
 
-The verifier reads its true approximation sizes from the objects, not
-from the frequency matrix, and needs no id-keyed map: one pass over the
-granule and class labels of the objects gathers, for each class, the set
-of granules it meets. A class's upper approximation is the granules it
-meets and its lower approximation those it meets alone, with sizes taken
-from the member tuples; lemma part 2 counts, object by object, the
-members of each lower approximation that the classifier maps to their
-own class. This is still not the fast path: the gfm counts each object
-into flat cell i*k + j of one list and reads a granule as inside class j
-when its row holds its size at j, while the verifier de-duplicates
-(granule, class) pairs into one set per class and reads a granule as
-inside class j when class j alone meets it. `oracle_lower` and `oracle_upper` stay as the
-per-element routes the tests hold the verifier to.
+The verifier reads every truth from the objects, not from the frequency
+matrix, and needs no id-keyed map: one pass over the granule and class
+labels of the objects gathers, for each class, the set of granules it
+meets. A class's upper approximation is the granules it meets and its
+lower approximation those it meets alone, with sizes taken from the
+member tuples, and its size n_j, on which bound chains 1 and 2 pivot, is
+its own member count, not the confusion matrix's column sum that the
+bounds carry. Lemma part 1's subjects are the granules one class alone
+meets, and each passes when the class the classifier maps it to meets
+it; lemma part 2 counts, object by object, the members of each lower
+approximation that the classifier maps to their own class. Of the
+matrices only the confusion matrix's cells are read, for lemma part 3.
+This is still not the fast path: the gfm counts each object into flat
+cell i*k + j of one list and reads a granule as inside class j when its
+row holds its size at j, while the verifier de-duplicates (granule,
+class) pairs into one set per class and reads a granule as inside class
+j when class j alone meets it. On a matrix built from its partitions
+the two readings agree; on one whose cells keep their margins but not
+the objects, the verifier still reads the objects. `oracle_lower` and
+`oracle_upper` stay as the per-element routes the tests hold the
+verifier to.
 
 The verifier's inputs come from one chain, _judge: the overlap
 validation, the confusion matrix, its bounds and the theorem record
@@ -45,7 +53,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, contains, eq, le, not_
+from operator import attrgetter, eq, le, not_
 
 from .classifiers import (
     RoughClassifier,
@@ -310,7 +318,7 @@ class TheoremReport:
             [tuple(map(attrgetter(name), bounds)) for name in ("theorem", "class_index", "chain")],
             (tuple(c.part for c in lemmas), b"", tuple(c.subject for c in lemmas)),
             bytes(map(bool, map(attrgetter("passed"), lemmas))),
-            context,
+            dict(context),
         )
 
     def _fill(
@@ -319,17 +327,18 @@ class TheoremReport:
         bounds: Sequence[Sequence[object]],
         lemmas: tuple[Sequence[int], bytes, Sequence[int]],
         lemmas_passed: bytes,
-        context: Mapping[str, str],
+        context: dict[str, str],
     ) -> TheoremReport:
         """Hold the bound columns and the lemma columns as (part, part 1
-        mask, the other subjects), with the passed column as 0s and 1s."""
+        mask, the other subjects), with the passed column as 0s and 1s,
+        and keep the context dict itself: callers pass a fresh copy."""
         self.__dict__.update(
             applicable=applicable,
             _bounds=tuple(bounds),
             _bounds_passed=bytes(map(_holds, bounds[2])),
             _lemmas=lemmas,
             _lemmas_passed=lemmas_passed,
-            context=dict(context),
+            context=context,
         )
         return self
 
@@ -372,11 +381,12 @@ def verify_theorems(
 ) -> TheoremReport:
     """Check every bound chain and overlap-rule consequence on built stages.
 
-    True approximation sizes come from the objects' labels in the
-    partitions the frequency matrix carries, estimator values from the
-    bounds. The two bound chains are checked per class; the sharper
-    row-maximal chains only when the bounds are flagged row-maximal, and
-    nothing applies when they are flagged as breaking the overlap rule.
+    True approximation and class sizes and lemma part 1's subjects come
+    from the objects' labels in the partitions the frequency matrix
+    carries, estimator values from the bounds. The two bound chains are
+    checked per class; the sharper row-maximal chains only when the
+    bounds are flagged row-maximal, and nothing applies when they are
+    flagged as breaking the overlap rule.
     The lemma checks cover the three consequences of the overlap rule: a
     granule inside a class must be mapped to it, lower approximations sit
     inside predictor sets, and a zero diagonal cell forces its whole row
@@ -398,26 +408,27 @@ def verify_theorems(
     # approximation those it meets alone
     met, meets = _granules_met(granules, decisions)
     sizes = list(map(len, granules._members))
-    lone = list(map((1).__eq__, meets))
+    lone = bytes(map((1).__eq__, meets))
     size_of, is_lone = sizes.__getitem__, lone.__getitem__
     true_nl = [sum(map(size_of, filter(is_lone, met_j))) for met_j in met]
     true_nu = [sum(map(size_of, met_j)) for met_j in met]
 
+    # n_j is the class's own size, not the bounds' column sum
     chains = []
-    for j, (row, nl, nu) in enumerate(zip(bounds._rows, true_nl, true_nu), start=1):
-        n_j, nl_star, nl_star2, nu_star, nu_star2, nl_m, nu_m, _ = row
+    truths = zip(bounds._rows, decisions._members, true_nl, true_nu)
+    for j, (row, members, nl, nu) in enumerate(truths, start=1):
+        n_j = len(members)
+        _, nl_star, nl_star2, nu_star, nu_star2, nl_m, nu_m, _ = row
         chains.append((1, j, (nl, nl_star2, nl_star, n_j)))
         chains.append((2, j, (n_j, nu_star, nu_star2, nu)))
         if bounds.mrc_classifier:
             chains.append((3, j, (nl, nl_m, nl_star2)))
             chains.append((4, j, (nl_star2, nu_m, nu)))
 
-    # a granule lies inside class j exactly when its row holds its size at j;
-    # the 0/1 mask of such granules stands for lemma part 1's subjects
-    inside = bytes(map(contains, gfm.cells, sizes))
-    rows = itertools.compress(gfm.cells, inside)
-    homes = map((1).__add__, map(tuple.index, rows, itertools.compress(sizes, inside)))
-    passed = bytearray(map(eq, homes, itertools.compress(f.assignment, inside)))
+    # lemma part 1's subjects are the granules one class alone meets, held
+    # as the 0/1 mask lone; each passes when the class f maps it to meets it
+    mapped = itertools.compress(enumerate(f.assignment), lone)
+    passed = bytearray(g in met[j - 1] for g, j in mapped)
     parts, subjects = bytearray(b"\x01" * len(passed)), []
     # object by object: x lies in its own class's lower approximation when
     # its granule meets that class alone; lemma part 2 holds for class j
@@ -438,7 +449,7 @@ def verify_theorems(
 
     ctx.setdefault("row_maximal", "yes" if bounds.mrc_classifier else "no")
     report = TheoremReport.__new__(TheoremReport)
-    return report._fill(True, list(zip(*chains)), (parts, inside, subjects), passed, ctx)
+    return report._fill(True, list(zip(*chains)), (parts, lone, subjects), passed, ctx)
 
 
 def _judge(

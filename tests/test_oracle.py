@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from roughcm import (
     InstanceTooLargeError,
     RoughClassifier,
     ShapeMismatchError,
+    TheoremReport,
     TieBreak,
     ValidationReport,
     confusion_bounds,
@@ -294,6 +296,26 @@ class TestVerifyTheorems:
         f = maximal_row_classifier(gfm)
         report = verify_on(tv_system, ("Price",), f, context={"label": "smoke"})
         assert report.context["label"] == "smoke"
+
+    def test_a_record_keeps_its_own_copy_of_the_context(self, tv_system):
+        """Neither the verifier nor the constructor, and so not
+        dataclasses.replace, shares the caller's mapping with a record."""
+        granules = partition_by_attributes(tv_system, ("Price",))
+        gfm = granule_frequency_matrix(granules, decision_partition(tv_system))
+        caller = {"label": "smoke"}
+        report = verify_on(tv_system, ("Price",), maximal_row_classifier(gfm), caller)
+        assert caller == {"label": "smoke"}
+        caller["label"] = "edited"
+        assert report.context == {"label": "smoke", "row_maximal": "yes"}
+        other = {"label": "other"}
+        for record in (
+            dataclasses.replace(report, context=other),
+            TheoremReport(True, report.bound_checks, report.lemma_checks, other),
+        ):
+            other["label"] = "edited"
+            assert record.context == {"label": "other"}
+            other["label"] = "other"
+            assert record.bound_checks == report.bound_checks
 
     @pytest.mark.parametrize(
         "assignment,failed_lemmas",

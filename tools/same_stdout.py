@@ -11,6 +11,11 @@ tables, with perfbench/gen.py at the shapes perfbench/run.py names. Then,
 with each root's src alone on PYTHONPATH and no bytecode written, it runs:
 
 - `python -m roughcm analyze` on every table, in text and in JSON;
+- three more analyses of the seed-1 coarse table in JSON, one per entry
+  of VARIANTS: the mrc's highest and seeded random tie-breaks, which
+  change its assignment and so the confusion matrix and the theorem 3-4
+  chains, and a granule partition from attributes a1 and a3 alone, which
+  changes the granules and so lemma part 1's subjects;
 - the root's perfbench/roundtrip.py on the parent's JSON report of each
   fine table;
 - `python -m roughcm fuzz --trials 10000 --seed 42`, in JSON and in text;
@@ -47,6 +52,11 @@ FORMATS = ("text", "json")
 FUZZ = ["-m", "roughcm", "fuzz", "--trials", "10000", "--seed", "42"]
 ROUNDTRIP = Path("perfbench", "roundtrip.py")
 SMALL = ["-m", "roughcm", "analyze", "--input", "small.csv"]
+VARIANTS = (
+    ["--tie-break", "highest"],
+    ["--tie-break", "random", "--seed", "3"],
+    ["--attributes", "a1,a3"],
+)
 LOAD = """
 import json, sys
 from roughcm import ReportFormatError, report_from_dict
@@ -130,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="same-stdout-") as tmp:
         work = Path(tmp)
         for seed in SEEDS:
-            for grain, analyze in write_tables(work, seed).items():
+            tables = write_tables(work, seed)
+            for grain, analyze in tables.items():
                 for fmt in FORMATS:
                     name = f"analyze {grain} table, seed {seed}, {fmt}"
                     same, out = compare(name, roots, [*analyze, "--format", fmt], work)
@@ -140,6 +151,11 @@ def main(argv: list[str] | None = None) -> int:
                         report.write_bytes(out)
                         name = f"roundtrip of the parent's fine report, seed {seed}"
                         agreed.append(compare(name, roots, [ROUNDTRIP, report.name], work)[0])
+            if seed == 1:
+                for variant in VARIANTS:
+                    name = f"analyze coarse table, seed 1, json, {' '.join(variant)}"
+                    args = [*tables["coarse"], *variant, "--format", "json"]
+                    agreed.append(compare(name, roots, args, work)[0])
         for fmt in FORMATS:
             name = f"fuzz --trials 10000 --seed 42, {fmt}"
             agreed.append(compare(name, roots, [*FUZZ, "--format", fmt], work)[0])

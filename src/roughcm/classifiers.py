@@ -7,8 +7,8 @@ class it is mapped to, i.e. at least one member of the granule is
 classified correctly. The maximal row classifier picks, for each granule,
 a class with the highest frequency count; it satisfies the overlap rule by
 construction and maximizes the success ratio among all rough classifiers.
-It and the row-maximality test read each row's maximal classes from one
-map, _row_maxima, which takes one maximum per distinct frequency row.
+It takes one maximum per distinct frequency row; the row-maximality test
+shares no code with it and takes one per distinct (row, class) pair.
 
 classifier_from_text reads a mapping file in one of two ways. A file whose
 lines are all blank or two indices apart is checked whole, a rule to a
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import filterfalse
-from operator import contains, itemgetter
+from operator import itemgetter
 
 from .errors import ClassifierFileError, _listed, _require_types
 from .matrices import GranuleFrequencyMatrix, RoughConfusionMatrix, _require_shapes
@@ -112,14 +112,6 @@ def validate_overlap(
     )
 
 
-def _row_maxima(gfm: GranuleFrequencyMatrix) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each distinct frequency row's maximal classes, 1-based and ascending."""
-    return {
-        row: tuple([j for j, count in enumerate(row, start=1) if count == top])
-        for row, top in zip(gfm._distinct, map(max, gfm._distinct))
-    }
-
-
 def maximal_row_classifier(
     gfm: GranuleFrequencyMatrix,
     tie_break: TieBreak | str = TieBreak.LOWEST,
@@ -138,7 +130,10 @@ def maximal_row_classifier(
         pick = random.Random(seed).choice
     else:
         pick = itemgetter(0 if tie_break is TieBreak.LOWEST else -1)
-    maxima = _row_maxima(gfm)
+    maxima = {
+        row: tuple([j for j, count in enumerate(row, start=1) if count == top])
+        for row, top in zip(gfm._distinct, map(max, gfm._distinct))
+    }
     return RoughClassifier([pick(maxima[row]) for row in gfm.cells], gfm.k)
 
 
@@ -150,8 +145,7 @@ def is_row_maximal(f: RoughClassifier, gfm: GranuleFrequencyMatrix) -> bool:
     the sharper confusion-matrix bounds.
     """
     _require_shapes(f, gfm)
-    maxima = _row_maxima(gfm)
-    return all(map(contains, map(maxima.__getitem__, gfm.cells), f.assignment))
+    return all(row[j - 1] == max(row) for row, j in set(zip(gfm.cells, f.assignment)))
 
 
 def success_ratio(cm: RoughConfusionMatrix) -> Fraction:

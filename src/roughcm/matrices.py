@@ -19,7 +19,7 @@ from operator import add, eq, itemgetter, mul
 from typing import TYPE_CHECKING
 
 from .core import ObjectSet, Partition, _require_same_universe
-from .errors import ShapeMismatchError
+from .errors import ShapeMismatchError, _require_types
 
 if TYPE_CHECKING:
     from .classifiers import RoughClassifier
@@ -45,9 +45,9 @@ class GranuleFrequencyMatrix:
     from the partitions' objects, never from the cells, so the estimators
     drawn from such cells are held to the objects. The constructor counts
     the distinct rows once (`_distinct`, each distinct row with the number
-    of granules that have it); the column sums, the approximation summary,
-    the report writers and the classifiers' row maxima (_row_maxima) read
-    their row facts off it.
+    of granules that have it); the count checks, the approximation summary,
+    the report writers and the maximal row classifier read it. A row equal
+    to an earlier one counts as that row: (1.0, 0) after (1, 0) is let in.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -65,6 +65,7 @@ class GranuleFrequencyMatrix:
         # each distinct row, by value and in order of first occurrence, with
         # its multiplicity; the count and column-sum checks read it
         distinct = Counter(cells)
+        _require_types(("counts", {int}, chain.from_iterable(distinct)))
         if min(chain.from_iterable(distinct)) < 0:
             raise ValueError("counts must be non-negative")
         if not all(map(eq, map(sum, cells), map(len, self.granules._members))):
@@ -110,6 +111,7 @@ class RoughConfusionMatrix:
             raise ShapeMismatchError("a confusion matrix needs at least two classes")
         if set(map(len, cells)) != {k}:
             raise ShapeMismatchError("confusion matrix must be square")
+        _require_types(("counts", {int}, chain.from_iterable(cells)))
         if min(map(min, cells)) < 0:
             raise ValueError("counts must be non-negative")
         if not any(map(any, cells)):

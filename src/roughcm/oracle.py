@@ -562,7 +562,6 @@ def run_fuzz_trials(
             else:
                 f = random_overlap_classifier(gfm, rng.getrandbits(64))
                 context = {"classifier": "random-overlap", "tie_break": "-"}
-            context["generator"] = GENERATOR_ID
             *_, report = _judge(gfm, f, context)
             checks += 1
             if not (report.applicable and report.overall_pass):

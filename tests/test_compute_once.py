@@ -151,8 +151,9 @@ def test_the_distinct_rows_are_counted_once_per_matrix(monkeypatch, tv_system, c
 
 @pytest.mark.parametrize("policy", list(TieBreak), ids=lambda policy: policy.value)
 def test_the_row_maxima_are_taken_once_per_distinct_row(monkeypatch, policy):
-    """Five granules, two distinct rows: the maximal row classifier and the
-    row-maximality test each take two maxima, not five."""
+    """Five granules, two distinct rows: the maximal row classifier takes
+    one maximum per distinct row, and the row-maximality test one maximum
+    per distinct (row, class) pair, two each, not five."""
     _, _, gfm = partitions_from_counts([[2, 1], [2, 1], [1, 2], [2, 1], [1, 2]])
     taken = []
 

@@ -106,6 +106,25 @@ class TestGranuleFrequencyMatrix:
         with pytest.raises(ValueError, match="non-negative"):
             GranuleFrequencyMatrix(cells, granules, decisions)
 
+    @pytest.mark.parametrize(
+        "cells, wrong",
+        [
+            (((1.0, 1), (0, 1), (0, 1), (2, 0)), "float"),
+            (((1, 1), (0, True), (0, 1), (2, 0)), "bool"),
+            (((1, 1.0), (False, 1), (0, 1), (2, 0)), "bool or float"),
+        ],
+    )
+    def test_rejects_counts_that_are_not_ints(self, tv_parts, cells, wrong):
+        # each keeps every margin, so only the type check refuses it
+        with pytest.raises(TypeError, match=f"^counts must be int, not {wrong}$"):
+            GranuleFrequencyMatrix(cells, *tv_parts)
+
+    def test_the_count_types_are_checked_after_the_shape_and_before_the_values(self, tv_parts):
+        with pytest.raises(ShapeMismatchError, match="4x2"):
+            GranuleFrequencyMatrix(((1.0, 1), (0, 1)), *tv_parts)
+        with pytest.raises(TypeError, match="not float"):
+            GranuleFrequencyMatrix(((3, -1.0), (0, 1), (0, 1), (2, 0)), *tv_parts)
+
     def test_counts_fixture_round_trip(self):
         counts = [[1, 1, 1], [0, 5, 5], [2, 0, 1]]
         granules, decisions, gfm = partitions_from_counts(counts)
@@ -171,6 +190,17 @@ class TestRoughConfusionMatrix:
             RoughConfusionMatrix(((1, -2), (0, 1)))
         with pytest.raises(ValueError, match="at least one object"):
             RoughConfusionMatrix(((0, 0), (0, 0)))
+
+    def test_rejects_counts_that_are_not_ints(self):
+        with pytest.raises(TypeError, match="^counts must be int, not bool or float$"):
+            RoughConfusionMatrix(((1.5, 0), (0, True)))
+        with pytest.raises(TypeError, match="^counts must be int, not float$"):
+            RoughConfusionMatrix(((1, 0), (0, 2.0)))
+        # after the shape checks, before the value checks
+        with pytest.raises(ShapeMismatchError, match="square"):
+            RoughConfusionMatrix(((1.5, 2), (3,)))
+        with pytest.raises(TypeError, match="not float"):
+            RoughConfusionMatrix(((1, -2.0), (0, 1)))
 
 
 def _random_instance(seed):

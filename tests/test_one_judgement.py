@@ -92,6 +92,21 @@ def test_the_verifier_and_both_writers_read_the_bound_rows():
     }
 
 
+def test_only_the_maximal_row_classifier_builds_row_maxima():
+    """The row-maximality test checks each (row, class) pair itself: in
+    classifiers.py only the mrc reads the distinct rows, and no shared
+    row-maxima map is left for the two to read."""
+    assert {reader for reader in _readers("_distinct") if reader[0] == "classifiers.py"} == {
+        ("classifiers.py", "maximal_row_classifier")
+    }
+    defined = {
+        node.name
+        for node in ast.walk(TREES["classifiers.py"])
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    assert "maximal_row_classifier" in defined and "_row_maxima" not in defined
+
+
 def _rule_always_broken(monkeypatch):
     """Every classifier is judged to break the overlap rule at granule 1,
     so every theorem record is not applicable."""

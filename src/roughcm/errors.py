@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copyreg
 from collections.abc import Iterable, Sequence
 
 __all__ = [
@@ -44,6 +45,12 @@ def _require_types(*rules: tuple[str, set[type], Iterable[object]]) -> None:
 
 class RoughAnalysisError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # pickled as made, not through __init__, which some subclasses give
+        # other arguments than the message: the type, the message and the
+        # attributes survive a trip between processes
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class UnknownAttributeError(RoughAnalysisError):

@@ -46,8 +46,10 @@ class GranuleFrequencyMatrix:
     drawn from such cells are held to the objects. The constructor counts
     the distinct rows once (`_distinct`, each distinct row with the number
     of granules that have it); the count checks, the approximation summary,
-    the report writers and the maximal row classifier read it. A row equal
-    to an earlier one counts as that row: (1.0, 0) after (1, 0) is let in.
+    the report writers and the maximal row classifier read it. The count
+    types are checked on every row object, so (1.0, 0) after (1, 0) is
+    refused; granule_frequency_matrix makes equal rows one tuple, which is
+    checked once.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -65,7 +67,10 @@ class GranuleFrequencyMatrix:
         # each distinct row, by value and in order of first occurrence, with
         # its multiplicity; the count and column-sum checks read it
         distinct = Counter(cells)
-        _require_types(("counts", {int}, chain.from_iterable(distinct)))
+        # the types are read off each row object once, not off the distinct
+        # rows: (1.0, 0) is equal to (1, 0) but not an int row
+        rows = dict(zip(map(id, cells), cells)).values()
+        _require_types(("counts", {int}, chain.from_iterable(rows)))
         if min(chain.from_iterable(distinct)) < 0:
             raise ValueError("counts must be non-negative")
         if not all(map(eq, map(sum, cells), map(len, self.granules._members))):

@@ -119,6 +119,15 @@ class TestGranuleFrequencyMatrix:
         with pytest.raises(TypeError, match=f"^counts must be int, not {wrong}$"):
             GranuleFrequencyMatrix(cells, *tv_parts)
 
+    @pytest.mark.parametrize("twin, wrong", [((1.0, 0), "float"), ((True, 0), "bool")])
+    def test_rejects_a_non_int_row_equal_to_an_earlier_int_row(self, twin, wrong):
+        # the twin equals (1, 0) in value, so it counts as that distinct row,
+        # but its own cells are not ints
+        granules = Partition([[1], [2], [3, 4]])
+        decisions = Partition([[1, 2, 3], [4]])
+        with pytest.raises(TypeError, match=f"^counts must be int, not {wrong}$"):
+            GranuleFrequencyMatrix(((1, 0), twin, (1, 1)), granules, decisions)
+
     def test_the_count_types_are_checked_after_the_shape_and_before_the_values(self, tv_parts):
         with pytest.raises(ShapeMismatchError, match="4x2"):
             GranuleFrequencyMatrix(((1.0, 1), (0, 1)), *tv_parts)

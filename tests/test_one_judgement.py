@@ -64,7 +64,8 @@ def test_only_the_judgement_builds_the_stages_after_the_classifier():
 
 def test_the_analysis_the_load_and_fuzz_share_the_judgement():
     # an analysis and a report load both assemble through report._assemble
-    assert _readers("_judge") == {("report.py", "_assemble"), ("oracle.py", "run_fuzz_trials")}
+    # every fuzz trial, whichever process runs its shard, through the one trial loop
+    assert _readers("_judge") == {("report.py", "_assemble"), ("oracle.py", "_fuzz_shard")}
     assert _readers("_assemble") == {
         ("report.py", "analyze_decision_system"),
         ("report.py", "_rebuild"),

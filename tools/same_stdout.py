@@ -18,7 +18,12 @@ with each root's src alone on PYTHONPATH and no bytecode written, it runs:
   changes the granules and so lemma part 1's subjects;
 - the root's perfbench/roundtrip.py on the parent's JSON report of each
   fine table;
-- `python -m roughcm fuzz --trials 10000 --seed 42`, in JSON and in text;
+- `python -m roughcm fuzz --trials 10000 --seed 42`, in JSON and in text,
+  and the benchmark's `fuzz --trials 4000 --seed 1 --format json`; each
+  fuzz case runs twice, once as it comes and once with the change root's
+  child pinned to one CPU (os.sched_setaffinity in that child alone), so
+  the change's sharded run and its one-process run are each held to the
+  parent's bytes;
 - three refused inputs: a ragged CSV (exit 1), a mapping file that breaks
   the overlap rule on a small table (exit 2), and the parent's JSON
   report of that table with `bounds.classes.0.nl_star` changed, loaded by
@@ -28,7 +33,7 @@ with each root's src alone on PYTHONPATH and no bytecode written, it runs:
 It prints one line per case, `same` or `DIFFERENT`, with both exit codes
 and stdout and stderr sizes, and exits 1 if any case differs in its exit
 code, its stdout bytes or its stderr bytes. Standard library only; it
-takes about half a minute.
+takes about 40 seconds on two CPUs.
 """
 
 from __future__ import annotations
@@ -49,7 +54,11 @@ import run  # noqa: E402
 
 SEEDS = (1, 2)
 FORMATS = ("text", "json")
-FUZZ = ["-m", "roughcm", "fuzz", "--trials", "10000", "--seed", "42"]
+FUZZ = (
+    ["fuzz", "--trials", "10000", "--seed", "42", "--format", "json"],
+    ["fuzz", "--trials", "10000", "--seed", "42", "--format", "text"],
+    ["fuzz", "--trials", "4000", "--seed", "1", "--format", "json"],
+)
 ROUNDTRIP = Path("perfbench", "roundtrip.py")
 SMALL = ["-m", "roughcm", "analyze", "--input", "small.csv"]
 VARIANTS = (
@@ -83,23 +92,35 @@ def write_tables(work: Path, seed: int) -> dict[str, list[str]]:
     return tables
 
 
-def run_python(root: Path, args: list[str | Path], work: Path) -> tuple[int, bytes, bytes]:
+def _one_cpu() -> None:
+    """Pin the calling process, a child about to exec, to its lowest usable CPU."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def run_python(
+    root: Path, args: list[str | Path], work: Path, one_cpu: bool = False
+) -> tuple[int, bytes, bytes]:
     """Exit code, stdout and stderr of `python ARGS` in `work`, importing
-    roughcm from the root's src; a Path among ARGS names a file of the root."""
+    roughcm from the root's src, pinned to one CPU if asked; a Path among
+    ARGS names a file of the root."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     args = [str(root / a) if isinstance(a, Path) else a for a in args]
     done = subprocess.run(
-        [sys.executable, *args], cwd=work, env=env, capture_output=True, check=False
+        [sys.executable, *args], cwd=work, env=env, capture_output=True, check=False,
+        preexec_fn=_one_cpu if one_cpu else None,
     )
     return done.returncode, done.stdout, done.stderr
 
 
 def compare(
-    name: str, roots: tuple[Path, Path], args: list[str | Path], work: Path
+    name: str, roots: tuple[Path, Path], args: list[str | Path], work: Path,
+    change_on_one_cpu: bool = False,
 ) -> tuple[bool, bytes]:
-    """Run one case on both roots and print its line; return whether the
-    two agree, and the parent's stdout."""
-    parent, change = (run_python(root, args, work) for root in roots)
+    """Run one case on both roots, the change's pinned to one CPU if asked,
+    and print its line; return whether the two agree, and the parent's
+    stdout."""
+    parent = run_python(roots[0], args, work)
+    change = run_python(roots[1], args, work, change_on_one_cpu)
     same = parent == change
     print(
         f"{'same' if same else 'DIFFERENT':9}  {name}: exit {parent[0]} / {change[0]}, "
@@ -156,9 +177,11 @@ def main(argv: list[str] | None = None) -> int:
                     name = f"analyze coarse table, seed 1, json, {' '.join(variant)}"
                     args = [*tables["coarse"], *variant, "--format", "json"]
                     agreed.append(compare(name, roots, args, work)[0])
-        for fmt in FORMATS:
-            name = f"fuzz --trials 10000 --seed 42, {fmt}"
-            agreed.append(compare(name, roots, [*FUZZ, "--format", fmt], work)[0])
+        for fuzz in FUZZ:
+            for one_cpu in (False, True):
+                name = " ".join(fuzz) + (", change on one CPU" if one_cpu else "")
+                args = ["-m", "roughcm", *fuzz]
+                agreed.append(compare(name, roots, args, work, one_cpu)[0])
         agreed += refused_inputs(roots, work)
     print(f"{sum(agreed)} of {len(agreed)} cases the same")
     return 0 if all(agreed) else 1

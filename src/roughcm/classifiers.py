@@ -10,10 +10,9 @@ construction and maximizes the success ratio among all rough classifiers.
 It takes one maximum per distinct frequency row; the row-maximality test
 shares no code with it and takes one per distinct (row, class) pair.
 
-classifier_from_text reads a mapping file in one of two ways. A file whose
-lines are all blank or two indices apart is checked whole, a rule to a
-pass over all its numbers; any other file, or one that a rule refuses, is
-read line by line, which names its first faulty line.
+classifier_from_text reads a mapping file in one walk over its lines,
+checking each line's rules in order, so an error names the first faulty
+line.
 """
 
 from __future__ import annotations
@@ -162,15 +161,15 @@ def classifier_to_text(f: RoughClassifier) -> str:
 
 _COMMENT = re.compile("#[^\n]*")
 _INDEX = "-?[0-9]+"
-# The whole-file test passes indices of at most _DIGITS digits, which int()
-# converts under any digit limit (the least it can be set to is 640), and a
-# message echoes at most _DIGITS characters of an index.
+# int() converts an index of at most _DIGITS digits under any digit limit
+# (the least it can be set to is 640), and a message echoes at most _DIGITS
+# characters of an index.
 _DIGITS = 20
-# A line that is neither blank nor two short indices apart; spacing other
-# than ASCII space, tab and CR also matches, and is then judged line by line.
 _SHORT_INDEX = f"-?[0-9]{{1,{_DIGITS}}}"
-_ODD_LINE = re.compile(
-    rf"^(?![ \t\r]*(?:{_SHORT_INDEX}[ \t\r]+{_SHORT_INDEX}[ \t\r]*)?$)", re.MULTILINE
+# Each line once: two short indices apart, caught as groups, or any other
+# line; spacing other than ASCII space, tab and CR makes any other line.
+_LINE = re.compile(
+    rf"^[ \t\r]*(?:({_SHORT_INDEX})[ \t\r]+({_SHORT_INDEX})[ \t\r]*$|.*)", re.MULTILINE
 )
 
 
@@ -179,44 +178,34 @@ def classifier_from_text(text: str, n_granules: int, n_classes: int) -> RoughCla
 
     Lines end at `\\n` (a `\\r` before it is whitespace), indices are ASCII
     decimal integers, and the file must assign every granule 1..n_granules
-    exactly once to a class in 1..n_classes. An error names the first
-    faulty line and the first rule it breaks.
+    exactly once to a class in 1..n_classes. One walk reads the lines and
+    checks each line's rules in order, so an error names the first faulty
+    line and the first rule it breaks.
     """
-    body = _COMMENT.sub("", text)
-    assigned = None
-    if _ODD_LINE.search(body) is None:
-        numbers = list(map(int, body.split()))
-        granules, classes = numbers[0::2], numbers[1::2]
-        if (
-            1 <= min(granules, default=1)
-            and max(granules, default=0) <= n_granules
-            and 1 <= min(classes, default=1)
-            and max(classes, default=0) <= n_classes
-            and len(set(granules)) == len(granules)
-        ):
-            assigned = dict(zip(granules, classes))
-    if assigned is None:
-        # line by line, each line's rules in order, to name the first fault
-        assigned = {}
-        for lineno, fields in enumerate(map(str.split, body.split("\n")), start=1):
-            if not fields:
-                continue
-            if len(fields) != 2:
-                fault = f"expected two fields, got {len(fields)}"
-            elif not all(re.fullmatch(_INDEX, field) for field in fields):
-                fault = "indices must be integers"
-            else:
-                (granule, granule_text), (cls, cls_text) = map(_index, fields)
-                if not 1 <= granule <= n_granules:
-                    fault = f"granule index {granule_text} out of range 1..{n_granules}"
-                elif not 1 <= cls <= n_classes:
-                    fault = f"class index {cls_text} out of range 1..{n_classes}"
-                elif granule in assigned:
-                    fault = f"granule {granule} assigned twice"
-                else:
-                    assigned[granule] = cls
-                    continue
-            raise ClassifierFileError(f"line {lineno}: {fault}")
+    assigned: dict[int, int] = {}
+    for lineno, line in enumerate(_LINE.finditer(_COMMENT.sub("", text)), start=1):
+        fields = line.groups()
+        if fields[0]:
+            granule, cls = int(fields[0]), int(fields[1])
+        elif not (fields := line[0].split()):
+            continue
+        elif len(fields) != 2:
+            raise ClassifierFileError(f"line {lineno}: expected two fields, got {len(fields)}")
+        elif not all(re.fullmatch(_INDEX, field) for field in fields):
+            raise ClassifierFileError(f"line {lineno}: indices must be integers")
+        else:
+            (granule, _), (cls, _) = map(_index, fields)
+        if not 1 <= granule <= n_granules:
+            raise ClassifierFileError(
+                f"line {lineno}: granule index {_index(fields[0])[1]} out of range 1..{n_granules}"
+            )
+        if not 1 <= cls <= n_classes:
+            raise ClassifierFileError(
+                f"line {lineno}: class index {_index(fields[1])[1]} out of range 1..{n_classes}"
+            )
+        if granule in assigned:
+            raise ClassifierFileError(f"line {lineno}: granule {granule} assigned twice")
+        assigned[granule] = cls
     missing = list(filterfalse(assigned.__contains__, range(1, n_granules + 1)))
     if missing:
         raise ClassifierFileError(f"no assignment for granule(s) {_listed(missing)}")

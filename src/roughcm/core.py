@@ -277,6 +277,8 @@ class Partition:
         label = defaultdict(count().__next__)
         labels = list(map(label.__getitem__, keys))
         groups: list[list[int]] = [[] for _ in range(len(label))]
+        # the keys, one per block, are not needed while the blocks are filled
+        del label
         deque(map(list.append, map(groups.__getitem__, labels), ids), maxlen=0)
         p = object.__new__(cls)
         object.__setattr__(p, "_members", tuple(map(tuple, groups)))

@@ -640,6 +640,11 @@ def _fuzz_shard(
 _MIN_TRIALS_PER_SHARD = 500
 
 
+# How often a forked child checks that its parent still runs: it outlives
+# a parent killed outright by at most this long.
+_ORPHAN_CHECK_S = 0.1
+
+
 def _workers(trials: int) -> int:
     """How many processes share a run: one per usable CPU, each with at
     least _MIN_TRIALS_PER_SHARD trials; one without os.fork or CPU
@@ -671,6 +676,7 @@ def _in_shards(run: Callable[[range], _Tally], trials: int) -> list[_Tally]:
 
     ends = [trials * w // workers for w in range(workers + 1)]
     shards = list(map(range, ends, ends[1:]))
+    parent = os.getpid()
     pids, pipes = [], []
     try:
         for shard in shards[1:]:
@@ -679,7 +685,7 @@ def _in_shards(run: Callable[[range], _Tally], trials: int) -> list[_Tally]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(run, shard, write)
+                    _child(run, shard, write, parent)
             finally:
                 os.close(write)
             pids.append(pid)
@@ -707,16 +713,26 @@ def _in_shards(run: Callable[[range], _Tally], trials: int) -> list[_Tally]:
             os.waitpid(pid, 0)
 
 
-def _child(run: Callable[[range], _Tally], shard: range, write: int) -> NoReturn:
+def _child(
+    run: Callable[[range], _Tally], shard: range, write: int, parent: int
+) -> NoReturn:
     """In a forked child: run one shard, write (True, tally) or (False,
     the exception it raised), pickled, to the pipe, and exit without
     running the parent's clean-up. SIGINT is blocked: the parent, which
-    gets it too, kills its children."""
+    gets it too, kills its children. A parent killed outright kills none,
+    so every _ORPHAN_CHECK_S seconds the child looks for its parent, by
+    pid, and exits once it is gone."""
     import pickle
     import signal
 
+    def leave_if_orphaned(signum: int, frame: object) -> None:
+        if os.getppid() != parent:
+            os._exit(1)
+
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        signal.signal(signal.SIGALRM, leave_if_orphaned)
+        signal.setitimer(signal.ITIMER_REAL, _ORPHAN_CHECK_S, _ORPHAN_CHECK_S)
         try:
             outcome = (True, run(shard))
         except BaseException as exc:

@@ -418,8 +418,9 @@ class TestMappingFiles:
             "no assignment for granule(s) 1, 2, 3, 4, 5, 6, 7, 8, 9, 10 and 74414 more"
         )
 
-    # one file passes the whole-file test but for its long index, the other
-    # is read line by line anyway because of its last line
+    # each file as it is and with a faulty last line: the long index is
+    # judged on its own line before any later line (the ids name the two
+    # routes of an earlier parser, which the tail used to choose between)
     _LONG_INDEX_FILES = pytest.mark.parametrize(
         "tail", ["", "x\n"], ids=["whole-file", "line-by-line"]
     )

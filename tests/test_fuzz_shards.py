@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -214,6 +216,58 @@ def test_a_run_beside_another_thread_stays_in_one_process(two_shards, fork_count
     assert fork_count == []
     assert summary == run_fuzz_trials(TRIALS, 7)
     assert fork_count == [1]
+
+
+# A sharded run of two shards whose fork prints the child's pid.
+ORPHANED = """
+import os
+import roughcm.oracle as oracle
+
+oracle._MIN_TRIALS_PER_SHARD = 10_000
+real_fork = os.fork
+
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+
+os.fork = fork
+oracle.run_fuzz_trials(20_000, 1)
+"""
+
+
+def _gone(pid):
+    """True once `pid` has exited: no such process, or a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+@forks
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/PID/stat")
+def test_a_child_exits_once_its_parent_is_killed_outright():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    with subprocess.Popen(
+        [sys.executable, "-c", ORPHANED], env=env, stdout=subprocess.PIPE, text=True
+    ) as parent:
+        try:
+            child = int(parent.stdout.readline())
+        finally:
+            parent.kill()
+    try:
+        deadline = time.monotonic() + 1
+        while not _gone(child) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert _gone(child)
+    finally:
+        if not _gone(child):
+            os.kill(child, signal.SIGKILL)
 
 
 ERRORS = [getattr(errors, name) for name in errors.__all__]

@@ -40,6 +40,18 @@ peaked at 4,746,092 bytes (237 per object) above its start while the
 load compared every row list through a generic type pass, and at
 4,745,628 once the row lists were declared. 250 bytes per object lies
 just above both.
+
+On the fine table of 20,000 rows the analysis peaked at 5,332,756 bytes
+(267 per object) above its start while each partition's key-to-label
+dict lived on as its blocks were filled, and at 3,697,004 (185 per
+object) with the dict dropped once the labels are read. 225 bytes per
+object lies between the two.
+
+Parsing that table's mapping file (18,804 lines, the highest class each
+granule meets) peaked at 2,147,892 bytes (114 per line) above its start
+while a whole-file route held every token of the file as a string, and
+at 1,265,311 (67 per line) with one walk over the lines. 90 bytes per
+line lies between the two.
 """
 
 from __future__ import annotations
@@ -50,7 +62,13 @@ import tracemalloc
 
 from conftest import build_system, random_table
 
-from roughcm import Partition, analyze_decision_system, report_from_dict, report_to_json
+from roughcm import (
+    Partition,
+    analyze_decision_system,
+    classifier_from_text,
+    report_from_dict,
+    report_to_json,
+)
 
 BYTES_PER_OBJECT = 450
 COLUMNAR_BYTES_PER_OBJECT = 220
@@ -58,6 +76,8 @@ PEAK_BYTES_PER_OBJECT = 75
 SAVE_PEAK_PER_CHARACTER = 1.3
 PARTITION_PEAK_BYTES_PER_OBJECT = 150
 LOAD_PEAK_BYTES_PER_OBJECT = 250
+FINE_PEAK_BYTES_PER_OBJECT = 225
+MAPPING_PEAK_BYTES_PER_LINE = 90
 
 
 def test_an_analysis_retains_at_most_450_bytes_per_object():
@@ -107,6 +127,45 @@ def test_a_coarse_analysis_peaks_at_most_75_bytes_per_object_above_its_start():
     n = report.n_objects
     assert n == 20_000
     assert peak <= PEAK_BYTES_PER_OBJECT * n, f"{peak:,} bytes, {peak / n:.0f} per object"
+
+
+def test_a_fine_analysis_peaks_at_most_225_bytes_per_object_above_its_start():
+    header, rows = random_table(7, 20_000, 4, 20, 5)
+    ds = build_system(header, rows)
+    del rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = analyze_decision_system(ds, ds.condition_names)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    n = report.n_objects
+    assert n == 20_000
+    limit = FINE_PEAK_BYTES_PER_OBJECT * n
+    assert peak <= limit, f"{peak:,} bytes, {peak / n:.0f} per object"
+
+
+def test_parsing_a_mapping_file_peaks_at_most_90_bytes_per_line_above_its_start():
+    header, rows = random_table(7, 20_000, 4, 20, 5)
+    gfm = analyze_decision_system(build_system(header, rows), header[:-1]).frequency
+    del rows
+    # the highest class each granule meets satisfies the overlap rule
+    text = "".join(
+        f"{i} {max(j for j, count in enumerate(row, 1) if count)}\n"
+        for i, row in enumerate(gfm.cells, 1)
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = classifier_from_text(text, gfm.m, gfm.k)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    lines = len(f.assignment)
+    assert lines == text.count("\n") == 18_804
+    limit = MAPPING_PEAK_BYTES_PER_LINE * lines
+    assert peak <= limit, f"{peak:,} bytes, {peak / lines:.0f} per line"
 
 
 def test_saving_a_report_peaks_at_most_1_3_times_its_text_above_its_start():

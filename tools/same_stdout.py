@@ -28,7 +28,12 @@ with each root's src alone on PYTHONPATH and no bytecode written, it runs:
   the overlap rule on a small table (exit 2), and the parent's JSON
   report of that table with `bounds.classes.0.nl_star` changed, loaded by
   a `-c` snippet that writes the ReportFormatError message to stderr
-  rather than a traceback, whose paths would differ between roots.
+  rather than a traceback, whose paths would differ between roots;
+- `analyze` of that small table with each mapping file of MAPPINGS: one
+  that breaks each line rule in turn (three fields, `+1`, granule 0,
+  class 3, a 25-digit class index, a granule assigned twice), one that
+  leaves a granule out, and one that is accepted although it spaces a
+  line with U+00A0 and zero-pads an index to 25 digits.
 
 It prints one line per case, `same` or `DIFFERENT`, with both exit codes
 and stdout and stderr sizes, and exits 1 if any case differs in its exit
@@ -66,6 +71,18 @@ VARIANTS = (
     ["--tie-break", "random", "--seed", "3"],
     ["--attributes", "a1,a3"],
 )
+# mapping files of the small table, which has 2 granules and 2 classes;
+# mapping both granules to class 2 satisfies the overlap rule
+MAPPINGS = {
+    "three fields": "1 2 2\n2 2\n",
+    "plus sign": "+1 2\n2 2\n",
+    "granule 0": "1 2\n0 2\n",
+    "class 3": "1 3\n2 2\n",
+    "25-digit class index": f"1 {'1' * 25}\n2 2\n",
+    "granule assigned twice": "1 2\n1 2\n2 2\n",
+    "granule missing": "# one line\n1 2\n",
+    "accepted, U+00A0 spacing and a 25-digit index": f"1\xa02\n{'0' * 24}2 2\n",
+}
 LOAD = """
 import json, sys
 from roughcm import ReportFormatError, report_from_dict
@@ -132,7 +149,8 @@ def compare(
 
 
 def refused_inputs(roots: tuple[Path, Path], work: Path) -> list[bool]:
-    """Compare the three refused inputs; return whether each agreed."""
+    """Compare the three refused inputs and the small table's mapping
+    files; return whether each agreed."""
     (work / "ragged.csv").write_text("a,b,d\n1,2,x\n1,2\n", encoding="utf-8")
     (work / "small.csv").write_text("a,d\n1,x\n1,y\n2,y\n", encoding="utf-8")
     # granule 2 holds class y alone, so mapping it to x breaks the overlap rule
@@ -145,7 +163,13 @@ def refused_inputs(roots: tuple[Path, Path], work: Path) -> list[bool]:
         ("refused: mapping breaks the overlap rule", [*SMALL, "--classifier", "small-map.txt"]),
         ("refused: report with a changed bound", ["-c", LOAD, "small-tampered.json"]),
     )
-    return [compare(name, roots, args, work)[0] for name, args in cases]
+    agreed = [compare(name, roots, args, work)[0] for name, args in cases]
+    for n, (name, text) in enumerate(MAPPINGS.items()):
+        mapping = work / f"small-map{n}.txt"
+        mapping.write_text(text, encoding="utf-8")
+        args = [*SMALL, "--classifier", mapping.name, "--format", "text"]
+        agreed.append(compare(f"mapping file: {name}", roots, args, work)[0])
+    return agreed
 
 
 def main(argv: list[str] | None = None) -> int:

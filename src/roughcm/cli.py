@@ -19,7 +19,7 @@ from typing import TextIO
 
 from .classifiers import RoughClassifier, TieBreak, classifier_from_text
 from .core import Attribute, DecisionSystem, _collector_paused, _Column
-from .errors import CsvFormatError, OverlapViolationError, RoughAnalysisError
+from .errors import ClassifierFileError, CsvFormatError, OverlapViolationError, RoughAnalysisError
 from .matrices import GranuleFrequencyMatrix
 from .oracle import FuzzSummary, run_fuzz_trials
 from .report import AnalysisReport, _json_parts, _text_parts, analyze_decision_system
@@ -70,6 +70,8 @@ def ingest_csv(path: str | Path, decision_column: str | None = None) -> Decision
                 n += len(rows)
         except csv.Error as exc:
             raise CsvFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{path}: not UTF-8 text: {exc.reason}") from None
     if header is None:
         raise CsvFormatError(f"{path}: empty file")
     if width < 2:
@@ -126,7 +128,10 @@ def run_analyze(args: argparse.Namespace) -> AnalysisReport:
 
     def parse_mapping(gfm: GranuleFrequencyMatrix) -> RoughClassifier:
         # read once the analysis has built the granules the file numbers
-        text = Path(args.classifier).read_text(encoding="utf-8-sig")
+        try:
+            text = Path(args.classifier).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise ClassifierFileError(f"{args.classifier}: not UTF-8 text: {exc.reason}") from None
         return classifier_from_text(text, gfm.m, gfm.k)
 
     return analyze_decision_system(
@@ -252,7 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OverlapViolationError as exc:
         print(f"roughcm: {exc}", file=sys.stderr)
         return 2
-    except (RoughAnalysisError, OSError, UnicodeDecodeError, ValueError) as exc:
+    except (RoughAnalysisError, OSError, ValueError) as exc:
         print(f"roughcm: error: {exc}", file=sys.stderr)
         return 1
 

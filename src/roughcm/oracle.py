@@ -379,15 +379,13 @@ class TheoremReport:
         parts, inside, subjects = self._lemmas
         return parts, itertools.chain(itertools.compress(itertools.count(1), inside), subjects)
 
-    def _failed_bounds(self) -> list[tuple[int, int, tuple[int, ...]]]:
-        """(theorem, class, chain) of each failing bound chain, in order."""
-        failing = map(not_, self._bounds_passed)
-        return list(itertools.compress(zip(*self._bounds), failing))
-
-    def _failed_lemmas(self) -> list[tuple[int, int]]:
-        """(part, subject) of each failing lemma check, in order."""
-        failing = map(not_, self._lemmas_passed)
-        return list(itertools.compress(zip(*self._lemma_columns()), failing))
+    def _failures(self) -> tuple[list[tuple[int, int, tuple[int, ...]]], list[tuple[int, int]]]:
+        """(theorem, class, chain) of each failing bound chain and (part,
+        subject) of each failing lemma check, each in order."""
+        return (
+            list(itertools.compress(zip(*self._bounds), map(not_, self._bounds_passed))),
+            list(itertools.compress(zip(*self._lemma_columns()), map(not_, self._lemmas_passed))),
+        )
 
 
 def verify_theorems(
@@ -581,7 +579,7 @@ _Tally = tuple[int, int, TrialFailure | None]
 
 
 def _fuzz_shard(
-    shard: range, base_seed: int, max_objects: int, max_classes: int, kinds: tuple[str, ...]
+    shard: Iterable[int], base_seed: int, max_objects: int, max_classes: int, kinds: tuple[str, ...]
 ) -> _Tally:
     """The trial loop over one shard of trial indices: its check and
     failure counts and its first failure, if any."""
@@ -617,15 +615,13 @@ def _fuzz_shard(
             if not (report.applicable and report.overall_pass):
                 failures += 1
                 if first is None:
-                    failed = tuple(
-                        f"theorem{theorem}/class{j}"
-                        for theorem, j, _ in report._failed_bounds()
-                    ) + tuple(
-                        f"lemma1.{part}/{subject}"
-                        for part, subject in report._failed_lemmas()
-                    )
                     if not report.applicable:
-                        failed = ("not-applicable",)
+                        failed: tuple[str, ...] = ("not-applicable",)
+                    else:
+                        bounds, lemmas = report._failures()
+                        failed = tuple(
+                            f"theorem{theorem}/class{j}" for theorem, j, _ in bounds
+                        ) + tuple(f"lemma1.{part}/{subject}" for part, subject in lemmas)
                     first = TrialFailure(trial, kind, config, subset, failed)
     return checks, failures, first
 
@@ -640,11 +636,6 @@ def _fuzz_shard(
 _MIN_TRIALS_PER_SHARD = 500
 
 
-# How often a forked child checks that its parent still runs: it outlives
-# a parent killed outright by at most this long.
-_ORPHAN_CHECK_S = 0.1
-
-
 def _workers(trials: int) -> int:
     """How many processes share a run: one per usable CPU, each with at
     least _MIN_TRIALS_PER_SHARD trials; one without os.fork or CPU
@@ -657,7 +648,7 @@ def _workers(trials: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), trials // _MIN_TRIALS_PER_SHARD))
 
 
-def _in_shards(run: Callable[[range], _Tally], trials: int) -> list[_Tally]:
+def _in_shards(run: Callable[[Iterable[int]], _Tally], trials: int) -> list[_Tally]:
     """run's tally of each contiguous, ascending shard of range(trials),
     in shard order, one shard per worker.
 
@@ -714,27 +705,27 @@ def _in_shards(run: Callable[[range], _Tally], trials: int) -> list[_Tally]:
 
 
 def _child(
-    run: Callable[[range], _Tally], shard: range, write: int, parent: int
+    run: Callable[[Iterable[int]], _Tally], shard: range, write: int, parent: int
 ) -> NoReturn:
     """In a forked child: run one shard, write (True, tally) or (False,
     the exception it raised), pickled, to the pipe, and exit without
     running the parent's clean-up. SIGINT is blocked: the parent, which
     gets it too, kills its children. A parent killed outright kills none,
-    so every _ORPHAN_CHECK_S seconds the child looks for its parent, by
-    pid, and exits once it is gone."""
+    so before each trial the child looks for its parent, by pid, and exits
+    once it is gone."""
     import pickle
     import signal
 
-    def leave_if_orphaned(signum: int, frame: object) -> None:
-        if os.getppid() != parent:
-            os._exit(1)
+    def while_parent_runs() -> Iterator[int]:
+        for trial in shard:
+            if os.getppid() != parent:
+                os._exit(1)
+            yield trial
 
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        signal.signal(signal.SIGALRM, leave_if_orphaned)
-        signal.setitimer(signal.ITIMER_REAL, _ORPHAN_CHECK_S, _ORPHAN_CHECK_S)
         try:
-            outcome = (True, run(shard))
+            outcome = (True, run(while_parent_runs()))
         except BaseException as exc:
             outcome = (False, exc)
         with os.fdopen(write, "wb") as pipe:

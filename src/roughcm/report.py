@@ -842,8 +842,7 @@ def _text_parts(report: AnalysisReport) -> Iterator[str]:
     if not thm.applicable:
         yield "Theorem checks: not applicable (overlap rule violated)\n"
         return
-    failed_bounds = thm._failed_bounds()
-    failed_lemmas = thm._failed_lemmas()
+    failed_bounds, failed_lemmas = thm._failures()
     n_bounds = len(thm._bounds_passed)
     n_lemmas = len(thm._lemmas_passed)
     verdict = "FAIL" if failed_bounds or failed_lemmas else "PASS"

@@ -10,7 +10,13 @@ import tracemalloc
 
 import pytest
 
-from roughcm import CsvFormatError, analyze_decision_system, render_text, report_to_json
+from roughcm import (
+    ClassifierFileError,
+    CsvFormatError,
+    analyze_decision_system,
+    render_text,
+    report_to_json,
+)
 from roughcm import cli
 from roughcm.cli import ingest_csv, main, write_report
 
@@ -31,6 +37,18 @@ def write_csv(tmp_path, name, lines):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def write_latin1(tmp_path, name, text):
+    """A file written in Latin-1: each é is the lone byte 0xe9, which UTF-8
+    cannot decode before a comma or a newline."""
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+# the TV table's Price,Screen granules mapped as an equivalent classifier
+TV_MAPPING = "1 1\n2 2\n3 2\n4 1\n"
 
 
 class TestIngestCsv:
@@ -145,6 +163,14 @@ class TestIngestCsv:
         chunked = ingest_csv(tv_csv)
         assert chunked == whole
         assert chunked.decision_attribute.values[6] == "low"
+
+    @pytest.mark.parametrize("rows", [0, 10_000])
+    def test_a_table_that_is_not_utf8_is_an_error_naming_the_file(self, tmp_path, rows):
+        # the byte sits in the first block the reader decodes, or far past it
+        path = write_latin1(tmp_path, "latin.csv", "a,d\n" + "x,y\n" * rows + "café,y\n")
+        with pytest.raises(CsvFormatError) as raised:
+            ingest_csv(path)
+        assert str(raised.value) == f"{path}: not UTF-8 text: invalid continuation byte"
 
     def test_unknown_decision_column(self, tv_csv):
         with pytest.raises(CsvFormatError, match="unknown decision column 'nope'"):
@@ -262,6 +288,13 @@ class TestAnalyzeCommand:
         )
 
 
+    def test_a_table_that_is_not_utf8_exits_one(self, capsys, tmp_path):
+        path = write_latin1(tmp_path, "latin.csv", "a,d\ncafé,y\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"roughcm: error: {path}: not UTF-8 text: invalid continuation byte\n"
+
+
 class _Discard:
     """A text sink that keeps only the count of what it is given."""
 
@@ -357,6 +390,29 @@ class TestClassifierFiles:
         )
         assert code == 1
         assert err.startswith("roughcm: error:")
+
+    def test_a_mapping_file_that_is_not_utf8_is_an_error_naming_the_file(self, tv_csv, tmp_path):
+        mapping = write_latin1(tmp_path, "latin_map.txt", "# café\n" + TV_MAPPING)
+        argv = ["analyze", "--input", str(tv_csv), "--attributes", "Price,Screen"]
+        args = cli._build_parser().parse_args([*argv, "--classifier", str(mapping)])
+        with pytest.raises(ClassifierFileError) as raised:
+            cli.run_analyze(args)
+        assert str(raised.value) == f"{mapping}: not UTF-8 text: invalid continuation byte"
+
+    def test_a_mapping_file_that_is_not_utf8_exits_one(self, capsys, tv_csv, tmp_path):
+        mapping = write_latin1(tmp_path, "latin_map.txt", TV_MAPPING + "# café\n")
+        code, out, err = run_cli(
+            capsys,
+            "analyze",
+            "--input",
+            str(tv_csv),
+            "--attributes",
+            "Price,Screen",
+            "--classifier",
+            str(mapping),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"roughcm: error: {mapping}: not UTF-8 text: invalid continuation byte\n"
 
     def test_missing_mapping_file_exits_one(self, capsys, tv_csv, tmp_path):
         code, _, err = run_cli(

@@ -119,8 +119,7 @@ def test_a_report_built_from_records_reads_them_back():
     assert report.bound_checks[0].chain == (1, 2, 2)
     assert report.lemma_checks == lemmas
     assert not report.overall_pass
-    assert report._failed_bounds() == [(2, 1, (3, 2))]
-    assert report._failed_lemmas() == [(2, 1)]
+    assert report._failures() == ([(2, 1, (3, 2))], [(2, 1)])
     assert TheoremReport(True, bounds[:1], lemmas[:1], {}).overall_pass
     assert TheoremReport(False, (), (), {}).overall_pass
 

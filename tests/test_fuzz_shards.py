@@ -12,6 +12,7 @@ child is left once the call returns or raises.
 
 from __future__ import annotations
 
+import ast
 import os
 import pickle
 import signal
@@ -268,6 +269,25 @@ def test_a_child_exits_once_its_parent_is_killed_outright():
     finally:
         if not _gone(child):
             os.kill(child, signal.SIGKILL)
+
+
+def test_a_child_looks_for_its_parent_with_no_handler_or_timer():
+    # it checks between trials, so the module installs no signal handler,
+    # starts no timer and keeps no interval to tune
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    calls = [
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "signal"
+        and node.func.attr in {"signal", "setitimer", "alarm"}
+    ]
+    assert calls == []
+    assert "_ORPHAN_CHECK_S" not in {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }
 
 
 ERRORS = [getattr(errors, name) for name in errors.__all__]

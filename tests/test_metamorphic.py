@@ -2,6 +2,9 @@
 
 * Adding an attribute never shrinks a lower approximation and never grows
   an upper one, so gamma cannot fall.
+* Merging one class into another never shrinks the lower approximation
+  of their union below the two lower approximations together and never
+  grows its upper one past the two upper ones, so gamma cannot fall.
 * Permuting the rows, or renaming tokens consistently, changes no index.
 * Duplicating every row doubles every count and keeps every ratio.
 """
@@ -81,6 +84,21 @@ def test_adding_an_attribute_never_loosens_the_approximations(table, data):
         assert after.lower_size >= before.lower_size
         assert after.upper_size <= before.upper_size
     assert fine.gamma >= coarse.gamma
+
+
+@given(table=tables().filter(lambda table: {row[-1] for row in table[1]} == set(CLASSES)))
+def test_merging_two_classes_never_loosens_their_approximations(table):
+    header, rows = table
+    merged_rows = tuple((*row[:-1], "c0" if row[-1] == "c1" else row[-1]) for row in rows)
+    ds, merged_ds = build_system(header, rows), build_system(header, merged_rows)
+    apart, merged = analyze_decision_system(ds), analyze_decision_system(merged_ds)
+    classes = _by_token(ds, apart)
+    (c0, _), (c1, _) = classes["c0"], classes["c1"]
+    union, _ = _by_token(merged_ds, merged)["c0"]
+    assert union.size == c0.size + c1.size
+    assert union.lower_size >= c0.lower_size + c1.lower_size
+    assert union.upper_size <= c0.upper_size + c1.upper_size
+    assert merged.approximation.gamma >= apart.approximation.gamma
 
 
 @given(table=tables(), data=st.data())
